@@ -61,16 +61,14 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import platform
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro.sim.engine import SimulationEngine, SimulationJob, TRACE_CACHE, \
-    TraceCache, execute_job, expand_grid
-from repro.sim.options import EngineOptions
+from repro.sim.engine import SimulationEngine, TRACE_CACHE, TraceCache, \
+    expand_grid
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulatedSystem
 from repro.sim.config import SystemConfig
@@ -82,20 +80,12 @@ from conftest import BENCH_ACCESSES, BENCH_WARMUP, COMPARED_SYSTEMS, save_result
 #: Worker processes for the parallel measurement (>= 2 so the pool is real).
 PARALLEL_JOBS = max(2, int(os.environ.get("REPRO_JOBS", "0") or 0))
 
-#: Host cores available to the parallel/sharded sections.  On a
+#: Host cores available to the parallel section.  On a
 #: single-core host every "parallel vs serial" wall-clock ratio measures
 #: pool overhead, not parallelism, so those speedup entries are annotated
 #: as not meaningful (and never asserted on) rather than recorded as if
 #: they were wins.
 CPU_COUNT = os.cpu_count() or 1
-
-#: The documented ceiling on the fast-approximate sharding mode's
-#: relative statistics delta (see README "Within-job sharding").  The
-#: delta shrinks with trace length — sub-1% on cycles at 20k accesses —
-#: but warm-up truncation effects can reach ~17% on cycle counts at the
-#: 400-access golden scale, so the documented bound is the conservative
-#: any-scale one.
-APPROX_DELTA_BOUND = 0.25
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
@@ -489,91 +479,6 @@ def _batch_kernel_report():
     }
 
 
-def _trace_sharding_report():
-    """Within-job trace sharding: exact equivalence and the approx delta.
-
-    Exact mode must be byte-identical to the unsharded replay at any
-    scale (asserted via pickled bytes).  The fast-approximate mode's
-    statistics delta is *measured* — one job run unsharded vs. split into
-    four independently-warmed shards and merged — and recorded against
-    the documented bound.  The delta is a property of the shard plan, not
-    of scheduling, so this measurement is CPU-independent and runs even
-    on single-core hosts; only the wall-clock speedup entry is skipped
-    there.
-    """
-    shards = 4
-    job = SimulationJob(workload="602.gcc", predictor="lp",
-                        num_accesses=BENCH_ACCESSES,
-                        warmup_accesses=BENCH_WARMUP, seed=0)
-
-    exact, exact_seconds = _timed(lambda: execute_job(job))
-    sharded, sharded_seconds = _timed(
-        lambda: execute_job(job, shards=shards))
-    assert pickle.dumps(sharded) == pickle.dumps(exact)
-
-    approx_engine = SimulationEngine(store=False, options=EngineOptions(
-        jobs=min(shards, CPU_COUNT), shards=shards, sharding="approx"))
-    approx, approx_seconds = _timed(
-        lambda: approx_engine.run([job])[0])
-    assert approx_engine.shard_merges == 1
-
-    # Row counters merge losslessly (the measured spans partition the
-    # trace); only latency-derived statistics carry a delta.
-    assert approx.execution.instructions == exact.execution.instructions
-    assert approx.execution.memory_accesses == \
-        exact.execution.memory_accesses
-    assert approx.hierarchy_stats.demand_accesses == \
-        exact.hierarchy_stats.demand_accesses
-
-    def _delta(measured: float, reference: float) -> float:
-        return abs(measured - reference) / abs(reference) if reference \
-            else 0.0
-
-    exact_amal = (exact.hierarchy_stats.total_demand_latency
-                  / exact.hierarchy_stats.demand_accesses)
-    approx_amal = (approx.hierarchy_stats.total_demand_latency
-                   / approx.hierarchy_stats.demand_accesses)
-    deltas = {
-        "cycles": _delta(approx.execution.cycles, exact.execution.cycles),
-        "ipc": _delta(approx.ipc, exact.ipc),
-        "amal": _delta(approx_amal, exact_amal),
-        "energy_nj": _delta(approx.cache_hierarchy_energy_nj,
-                            exact.cache_hierarchy_energy_nj),
-    }
-    max_delta = max(deltas.values())
-    assert max_delta <= APPROX_DELTA_BOUND, deltas
-
-    if CPU_COUNT >= 2:
-        speedup = {
-            "workers": min(shards, CPU_COUNT),
-            "approx_vs_unsharded": exact_seconds / approx_seconds,
-        }
-    else:
-        speedup = {
-            "skipped": f"single-core host (cpu_count={CPU_COUNT}): a "
-                       "concurrent-shard speedup cannot be measured here",
-        }
-
-    return {
-        "workload": job.workload,
-        "shards": shards,
-        "accesses": BENCH_ACCESSES + BENCH_WARMUP,
-        "exact": {
-            "unsharded_seconds": exact_seconds,
-            "sharded_seconds": sharded_seconds,
-            "byte_identical": True,
-        },
-        "approx": {
-            "seconds": approx_seconds,
-            "count_fields_exact": True,
-            "stats_delta": deltas,
-            "max_delta": max_delta,
-            "documented_bound": APPROX_DELTA_BOUND,
-        },
-        "speedup": speedup,
-    }
-
-
 def _fault_plane_report(engine_serial_seconds: float):
     """Cost of the fault-injection plane (:mod:`repro.faults`).
 
@@ -676,7 +581,6 @@ def test_throughput(benchmark):
     replay_report = _buffer_replay_report()
     fault_report = _fault_plane_report(serial_seconds)
     batch_report = _batch_kernel_report()
-    sharding_report = _trace_sharding_report()
 
     report = {
         "schema": "repro-bench-throughput/1",
@@ -718,7 +622,6 @@ def test_throughput(benchmark):
         "buffer_replay": replay_report,
         "fault_plane": fault_report,
         "batch_kernel": batch_report,
-        "trace_sharding": sharding_report,
         "speedups": {
             "engine_serial_vs_legacy": legacy_seconds / serial_seconds,
             "engine_parallel_vs_legacy": legacy_seconds / parallel_seconds,
@@ -729,8 +632,8 @@ def test_throughput(benchmark):
             "jobs": PARALLEL_JOBS,
             "speedups_meaningful": CPU_COUNT >= 2,
             "note": None if CPU_COUNT >= 2 else (
-                "single-core host: engine_parallel and sharded speedup "
-                "entries measure pool overhead, not parallelism; they are "
+                "single-core host: engine_parallel speedup entries "
+                "measure pool overhead, not parallelism; they are "
                 "recorded for the trajectory but must not be read as "
                 "wins"),
         },
@@ -802,23 +705,6 @@ def test_throughput(benchmark):
                      f"({entry['speedup']:.2f}x)")
     for app, entry in batch_report["per_app_replay"].items():
         lines.append(f"replay {app:11s}: {entry['speedup']:.2f}x")
-    lines.append("")
-    lines.append("Trace sharding (exact byte-identical; approx delta "
-                 "measured)")
-    approx = sharding_report["approx"]
-    lines.append(f"approx max delta  : {approx['max_delta'] * 100:6.2f}% "
-                 f"(documented bound "
-                 f"{approx['documented_bound'] * 100:.0f}%)")
-    per_metric = ", ".join(f"{name} {value * 100:.2f}%" for name, value
-                           in approx["stats_delta"].items())
-    lines.append(f"per-metric deltas : {per_metric}")
-    speedup = sharding_report["speedup"]
-    if "skipped" in speedup:
-        lines.append(f"shard speedup     : skipped — {speedup['skipped']}")
-    else:
-        lines.append(f"shard speedup     : "
-                     f"{speedup['approx_vs_unsharded']:.2f}x over "
-                     f"{speedup['workers']} workers")
     lines.append("")
     for key, value in report["speedups"].items():
         lines.append(f"{key}: {value:.2f}x")

@@ -95,8 +95,6 @@ def run_figure(name: str,
                options: Optional[EngineOptions] = None,
                jobs: Optional[int] = None,
                kernel: Optional[str] = None,
-               shards: Optional[int] = None,
-               sharding: Optional[str] = None,
                hierarchy: Union[str, Path, HierarchySpec, None] = None,
                force: bool = False):
     """Run one named figure/table experiment grid; returns its RunReport.
@@ -105,9 +103,7 @@ def run_figure(name: str,
     ``"figure2"``, ``"golden"``).  ``store`` defaults to the configured
     results store (``REPRO_STORE``) or ``./results``; stats are written
     under ``<store>/stats/<name>.json`` exactly like ``repro run``.
-    ``shards``/``sharding`` select within-job trace sharding (exact mode
-    is bit-identical; approx mode bypasses the store — see
-    :mod:`repro.sim.options`).  ``hierarchy`` substitutes a declarative
+    ``hierarchy`` substitutes a declarative
     hierarchy spec (a :class:`HierarchySpec` or a path to its JSON file)
     into every job of the grid, like ``repro run --hierarchy``.
     """
@@ -119,11 +115,9 @@ def run_figure(name: str,
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {name!r}; known: {known}")
     if options is None:
-        options = EngineOptions.from_env(kernel=kernel, jobs=jobs,
-                                         shards=shards, sharding=sharding)
+        options = EngineOptions.from_env(kernel=kernel, jobs=jobs)
     else:
-        options = options.with_overrides(kernel=kernel, jobs=jobs,
-                                         shards=shards, sharding=sharding)
+        options = options.with_overrides(kernel=kernel, jobs=jobs)
     if hierarchy is None:
         hierarchy = options.hierarchy
     if store is None:
@@ -132,9 +126,7 @@ def run_figure(name: str,
         store = ResultStore(store)
     return run_experiment(name, store, scale or Scale(),
                           jobs=options.jobs, force=force,
-                          kernel=options.kernel, shards=options.shards,
-                          sharding=options.sharding,
-                          hierarchy=hierarchy)
+                          kernel=options.kernel, hierarchy=hierarchy)
 
 
 def connect(address: Union[str, int]) -> Union[ServiceClient, FleetClient]:

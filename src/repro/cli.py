@@ -88,7 +88,7 @@ from .faults import REPRO_FAULTS_ENV, FaultSpecError, install as install_faults
 from .service import FleetClient, ServiceClient, ServiceError, main_serve
 from .sim.engine import SimulationEngine
 from .sim.kernels import DEFAULT_KERNEL, kernel_names
-from .sim.options import POOL_KINDS, SHARDING_MODES, EngineOptions
+from .sim.options import POOL_KINDS, EngineOptions
 from .sim.store import (
     REPRO_STORE_ENV,
     REPRO_TRACE_DIR_ENV,
@@ -138,14 +138,9 @@ def run_experiment(name: str, store: ResultStore, scale: Scale,
                    jobs: Optional[int] = None,
                    force: bool = False,
                    kernel: Optional[str] = None,
-                   shards: Optional[int] = None,
-                   sharding: Optional[str] = None,
                    hierarchy: Optional[str] = None) -> RunReport:
     """Run one experiment through the store and persist its metrics.
 
-    ``shards``/``sharding`` select within-job trace sharding (see
-    :mod:`repro.sim.options`): exact mode stays bit-identical to the
-    unsharded run; approx mode bypasses the results store entirely.
     ``hierarchy`` names a declarative hierarchy spec file (JSON, see
     :mod:`repro.memory.spec`) — or is a :class:`HierarchySpec` passed
     programmatically via :func:`repro.api.run_figure` — applied to every
@@ -163,7 +158,6 @@ def run_experiment(name: str, store: ResultStore, scale: Scale,
     elif hierarchy is not None:
         hierarchy = str(hierarchy)
     options = EngineOptions.from_env(kernel=kernel, jobs=jobs,
-                                     shards=shards, sharding=sharding,
                                      hierarchy=hierarchy)
     engine = SimulationEngine(store=store, options=options)
     job_list = experiment.jobs(scale)
@@ -376,8 +370,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         for name in names:
             report = run_experiment(name, store, scale, jobs=args.jobs,
                                     force=args.force, kernel=args.kernel,
-                                    shards=args.shards,
-                                    sharding=args.sharding,
                                     hierarchy=args.hierarchy)
             print(f"{name}: {report.total_jobs} jobs — {report.stored} from "
                   f"store, {report.simulated} simulated "
@@ -527,8 +519,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                               max_queue=args.max_queue,
                               faults=args.faults,
                               kernel=args.kernel,
-                              shards=args.shards,
-                              sharding=args.sharding,
                               pool=args.pool,
                               hierarchy=args.hierarchy,
                               fleet=True if args.fleet else None)
@@ -747,14 +737,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         detail = f"{len(children)} children" if children else "in-process"
         if pool.get("fallback_reason"):
             detail += f"; fell back: {pool['fallback_reason']}"
+        detail += f", {counters.get('pool_failovers', 0):,} failovers"
         print(f"  pool              : {pool.get('type', '?'):>10} "
               f"({detail})")
-    if "sharding" in payload:
-        print(f"  sharding          : {payload['sharding']:>10} "
-              f"({payload.get('shards', 1)} shards/job, "
-              f"{counters.get('shards_executed', 0):,} shards run, "
-              f"{counters.get('shard_merges', 0):,} merges, "
-              f"{counters.get('pool_failovers', 0):,} pool failovers)")
     print(f"  requests          : {counters['requests']:>10,}  "
           f"({counters['submissions']:,} grids, "
           f"{counters['jobs']:,} jobs)")
@@ -912,15 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel", choices=kernel_names(), default=None,
         help="trace-execution kernel (default: $REPRO_KERNEL or "
              f"'{DEFAULT_KERNEL}'; results are bit-identical either way)")
-    run_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="trace shards per job (default: $REPRO_SHARDS or 1; "
-             "0 = one shard per host core)")
-    run_parser.add_argument(
-        "--sharding", choices=SHARDING_MODES, default=None,
-        help="shard mode (default: $REPRO_SHARDING or 'exact'). exact is "
-             "bit-identical to unsharded; approx runs shards concurrently "
-             "with a bounded stats delta and bypasses the results store")
     run_parser.add_argument("--force", action="store_true",
                             help="recompute jobs even when already stored")
     run_parser.add_argument("--check", nargs="?", const="", default=None,
@@ -969,14 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool kind (default: $REPRO_POOL or 'process'; "
              "'process' saturates a many-core host, 'thread' keeps jobs "
              "in-process)")
-    serve_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="trace shards per job in approx mode (default: $REPRO_SHARDS "
-             "or 1; 0 = one shard per host core)")
-    serve_parser.add_argument(
-        "--sharding", choices=SHARDING_MODES, default=None,
-        help="shard mode (default: $REPRO_SHARDING or 'exact'); approx "
-             "results are never persisted to the store")
     serve_parser.add_argument(
         "--ready-file", default=None, metavar="FILE",
         help="write the bound address to FILE once listening (how scripts "

@@ -13,12 +13,10 @@ cache levels runs through the same scalar and batch kernels.  The level
 predictor's target space stays the paper's — the whole private
 intermediate group is classified as ``Level.L2`` and the shared LLC as
 ``Level.L3`` — so predictors, statistics and stored results keep their
-exact shapes at any depth.  Three-level hierarchies (legacy
-:class:`HierarchyConfig` or an equivalent spec) run the original
-specialised path bit-for-bit; other depths take the generalised chain
-walkers (``_locate_chain`` / ``_timed_path_chain`` /
-``_fill_on_response_chain``), which are selected by one flag test on the
-miss path only — the L1-hit fast path is depth-agnostic.
+exact shapes at any depth.  Every depth, the paper's three levels
+included, runs one miss walker: ``_locate_chain`` finds the block,
+``_timed_path_chain`` times the lookup path and ``_fill_on_response_chain``
+moves the block up the private chain.
 
 The model is trace driven: :meth:`CoreMemoryHierarchy.access` services one
 memory reference, returning an :class:`AccessResult` with the load latency,
@@ -92,6 +90,9 @@ _L1 = Level.L1
 _L2 = Level.L2
 _L3 = Level.L3
 _MEM = Level.MEM
+_PREFETCH = AccessType.PREFETCH
+_MODIFIED = CoherenceState.MODIFIED
+_EXCLUSIVE = CoherenceState.EXCLUSIVE
 
 #: Shared per-access tuples (avoid re-allocating on every access).
 _LOOKED_L1 = (Level.L1,)
@@ -99,13 +100,16 @@ _NO_LEVELS: tuple = ()
 _BYPASSED_L2 = (Level.L2,)
 _BYPASSED_L3 = (Level.L3,)
 _BYPASSED_L2_L3 = (Level.L2, Level.L3)
-#: The six fixed shapes of the post-L1 lookup path (see _timed_path).
-_PATH_L2 = (Level.L2,)
-_PATH_L3 = (Level.L3,)
-_PATH_L2_L3 = (Level.L2, Level.L3)
-_PATH_L3_MEM = (Level.L3, Level.MEM)
-_PATH_L2_L3_MEM = (Level.L2, Level.L3, Level.MEM)
-_PATH_RECOVERY = (Level.L3, Level.L2)
+#: Shared _locate_chain answers for blocks outside the private chain.
+_IN_LLC = (Level.L3, None, None)
+_IN_MEMORY = (Level.MEM, None, None)
+#: The six shapes of the post-L1 lookup path (see _timed_path_chain).
+_LOOKED_L2 = (Level.L2,)
+_LOOKED_L3 = (Level.L3,)
+_LOOKED_L2_L3 = (Level.L2, Level.L3)
+_LOOKED_L3_MEM = (Level.L3, Level.MEM)
+_LOOKED_L2_L3_MEM = (Level.L2, Level.L3, Level.MEM)
+_LOOKED_RECOVERY = (Level.L3, Level.L2)
 
 
 def _bind_core_types() -> None:
@@ -287,13 +291,13 @@ class CoreMemoryHierarchy:
         "l1_prefetcher", "l2_prefetcher", "interconnect", "energy", "stats",
         "core_id", "_block_size", "_block_mask", "_page_shift",
         "_l1_page_size",
-        "_general", "_intermediates",
-        "_chain_hit_latency", "_chain_miss_detect", "_chain_nj",
-        "_l1_hit_latency", "_l1_miss_detect", "_l2_hit_latency",
-        "_l2_miss_detect", "_l3_hit_latency", "_l3_tag_latency",
+        "_intermediates", "_private", "_holders", "_fill_order",
+        "_fill_above", "_closer", "_deposit_mshrs",
+        "_l1_hit_latency", "_l1_miss_detect",
+        "_l3_hit_latency", "_l3_tag_latency",
         "_port_penalty", "_memory_speculative", "_ideal_miss_latency",
         "_ic_l1_l2", "_ic_l2_llc", "_ic_llc_mem",
-        "_tlb_nj", "_l1_nj", "_tlb_l1_nj", "_l2_nj", "_l3_nj", "_l3_tag_nj",
+        "_tlb_nj", "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
         "_l3_wb_nj",
         "_dram_nj", "_bus_nj", "_directory_nj", "_prefetch_budget",
         "_l1_hit_result", "_pf_access",
@@ -342,9 +346,6 @@ class CoreMemoryHierarchy:
         # Compat alias: the first private intermediate (the paper's L2), or
         # None in a 2-level hierarchy.
         self.l2 = self._intermediates[0] if self._intermediates else None
-        # Three-level chains — legacy configs and equivalent specs — run the
-        # original specialised path; other depths take the chain walkers.
-        self._general = len(inter_cfgs) != 1
         self.l1_prefetcher = l1_prefetcher or NullPrefetcher()
         self.l2_prefetcher = l2_prefetcher or NullPrefetcher()
         ic_config = cfg.interconnect if spec is None \
@@ -366,14 +367,6 @@ class CoreMemoryHierarchy:
         self._page_shift = self.tlb.l1._page_shift
         self._l1_hit_latency = float(l1_cfg.hit_latency)
         self._l1_miss_detect = float(l1_cfg.miss_detect_latency)
-        self._chain_hit_latency = tuple(float(c.hit_latency)
-                                        for c in inter_cfgs)
-        self._chain_miss_detect = tuple(float(c.miss_detect_latency)
-                                        for c in inter_cfgs)
-        self._l2_hit_latency = self._chain_hit_latency[0] \
-            if inter_cfgs else 0.0
-        self._l2_miss_detect = self._chain_miss_detect[0] \
-            if inter_cfgs else 0.0
         self._l3_hit_latency = float(llc_cfg.hit_latency)
         self._l3_tag_latency = float(llc_cfg.tag_latency)
         self._port_penalty = cfg.parallel_port_penalty
@@ -398,14 +391,34 @@ class CoreMemoryHierarchy:
         self._l1_nj = params.l1_access_nj if l1_read is None else l1_read
         self._tlb_l1_nj = params.tlb_access_nj + self._l1_nj
         if spec is None:
-            self._chain_nj = (params.l2_access_nj,)
+            chain_nj: Tuple[float, ...] = (params.l2_access_nj,)
         else:
-            self._chain_nj = tuple(
+            chain_nj = tuple(
                 params.l2_access_nj if level.read_energy_nj is None
                 else level.read_energy_nj
                 for level in spec.intermediates)
-        self._l2_nj = self._chain_nj[0] if self._chain_nj \
-            else params.l2_access_nj
+        # The private chain as walk tables, built once so the miss path
+        # does no per-miss index arithmetic.  ``_private`` is closest-first
+        # (index, cache, energy, hit latency, miss detection) per level;
+        # ``_holders`` pairs each cache with its ``_locate_chain`` answer;
+        # ``_fill_order`` is (index, cache) deepest-first;
+        # ``_fill_above[h]`` is the part of ``_fill_order`` closer than
+        # level ``h``; ``_closer[i]`` the caches closer than level ``i``.
+        caches = self._intermediates
+        self._private = tuple(
+            (index, cache, nj, float(c.hit_latency),
+             float(c.miss_detect_latency))
+            for index, (cache, nj, c)
+            in enumerate(zip(caches, chain_nj, inter_cfgs)))
+        self._holders = tuple((cache, (_L2, None, index))
+                              for index, cache in enumerate(caches))
+        self._fill_order = tuple(reversed(tuple(enumerate(caches))))
+        self._fill_above = tuple(self._fill_order[len(caches) - holder:]
+                                 for holder in range(len(caches)))
+        self._closer = tuple(caches[:index] for index in range(len(caches)))
+        # The return path's MSHR entry lives at the deepest private
+        # intermediate, the fill deposit point (None in a 2-level chain).
+        self._deposit_mshrs = caches[-1].mshrs if caches else None
         llc_read = spec.llc.read_energy_nj if spec is not None else None
         if llc_read is None:
             self._l3_nj = params.llc_tag_access_nj \
@@ -531,11 +544,7 @@ class CoreMemoryHierarchy:
         l1.mshrs.allocate(block, atype)
 
         predictor = self.predictor
-        general = self._general
-        if general:
-            actual, remote_core, holder = self._locate_chain(block)
-        else:
-            actual, remote_core = self._locate(block)
+        actual, remote_core, holder = self._locate_chain(block)
         if self._ideal_miss_latency:
             # The paper's Ideal system: a perfect, zero-cost level prediction
             # on every L1 miss — the request goes straight to the level that
@@ -551,13 +560,9 @@ class CoreMemoryHierarchy:
         outcome = predictor.train(block, pc, prediction, actual)
         predictor.on_hit(actual)
 
-        if general:
-            path_latency, looked_up, recovered = self._timed_path_chain(
-                prediction, actual, address, pc, atype, remote_core, block,
-                holder)
-        else:
-            path_latency, looked_up, recovered = self._timed_path(
-                prediction, actual, address, pc, atype, remote_core, block)
+        path_latency, looked_up, recovered = self._timed_path_chain(
+            prediction, actual, address, pc, atype, remote_core, block,
+            holder)
         latency += path_latency
         if recovered:
             stats.recoveries += 1
@@ -571,10 +576,7 @@ class CoreMemoryHierarchy:
                 stats.remote_cache_hits += 1
         else:
             stats.memory_accesses += 1
-        if general:
-            self._fill_on_response_chain(block, atype, actual, holder)
-        else:
-            self._fill_on_response(block, atype, actual)
+        self._fill_on_response_chain(block, atype, actual, holder)
         l1.mshrs.release(block)
 
         stats.total_demand_latency += latency
@@ -756,36 +758,26 @@ class CoreMemoryHierarchy:
     # ==================================================================
     # Location and classification helpers
     # ==================================================================
-    def _locate(self, block: int) -> Tuple[Level, Optional[int]]:
-        """Find where the block currently resides (after the L1 miss)."""
-        if self.l2.contains_block(block):
-            return Level.L2, None
-        if self.shared.l3.contains_block(block):
-            return Level.L3, None
-        remote = self.shared.directory.remote_holder(block, self.core_id)
-        if remote is not None:
-            # Supplied by another core's private cache through the directory;
-            # classified as an LLC-level hit for prediction purposes.
-            return Level.L3, remote
-        return Level.MEM, None
-
     def _locate_chain(self, block: int
                       ) -> Tuple[Level, Optional[int], Optional[int]]:
-        """Chain-walking :meth:`_locate` for depths other than three.
+        """Find where the block currently resides (after the L1 miss).
 
-        Returns ``(level, remote_core, holder)`` where ``holder`` is the
-        index of the private intermediate that holds the block (``None``
-        unless ``level`` is the private group ``Level.L2``).
+        Returns ``(level, remote_core, holder)``.  ``holder`` is the index
+        of the private intermediate that holds the block (``None`` unless
+        ``level`` is the private group ``Level.L2``).  ``remote_core`` is
+        the other core whose private cache supplies the block through the
+        directory, classified as an LLC-level hit for prediction purposes.
         """
-        for index, cache in enumerate(self._intermediates):
+        for cache, located in self._holders:
             if cache.contains_block(block):
-                return _L2, None, index
-        if self.shared.l3.contains_block(block):
-            return _L3, None, None
-        remote = self.shared.directory.remote_holder(block, self.core_id)
+                return located
+        shared = self.shared
+        if shared.l3.contains_block(block):
+            return _IN_LLC
+        remote = shared.directory.remote_holder(block, self.core_id)
         if remote is not None:
             return _L3, remote, None
-        return _MEM, None, None
+        return _IN_MEMORY
 
     @staticmethod
     def _bypassed(prediction: Prediction, actual: Level) -> Tuple[Level, ...]:
@@ -801,7 +793,7 @@ class CoreMemoryHierarchy:
     # ==================================================================
     # Timing
     # ==================================================================
-    def _timed_path(
+    def _timed_path_chain(
         self,
         prediction: Prediction,
         actual: Level,
@@ -810,22 +802,31 @@ class CoreMemoryHierarchy:
         atype: AccessType,
         remote_core: Optional[int],
         block: int,
+        holder: Optional[int],
     ) -> Tuple[float, Tuple[Level, ...], bool]:
-        """Latency of the L2-and-beyond path, levels probed, recovery flag.
+        """Latency of the post-L1 path, levels probed, recovery flag.
 
-        The probed-level sequence is one of six fixed shapes, so shared
-        tuples are returned instead of building a list per miss.
+        A ``Level.L2`` prediction probes the private intermediate group in
+        order; the private-only sequential fallback serialises each
+        level's miss detection before forwarding.  Hop latencies:
+        ``l1_to_l2`` into and between private levels, ``l2_to_llc`` into
+        the shared LLC (a 2-level hierarchy pays only the LLC hop).  The
+        MSHR entry for the return path is allocated at the deepest private
+        intermediate — the fill deposit point — even when the group is
+        bypassed (Section III.E).  The probed-level sequence is one of six
+        fixed shapes, so shared tuples are returned instead of building a
+        list per miss.
         """
         levels = prediction.levels or _BYPASSED_L2
-        probe_l2 = Level.L2 in levels
-        probe_l3 = Level.L3 in levels
-        probe_mem = Level.MEM in levels
+        probe_l2 = _L2 in levels
+        probe_l3 = _L3 in levels
+        probe_mem = _MEM in levels
         charge = self.energy.charge
         is_load = atype is _LOAD
 
         # Port-pressure penalty when more than one on-chip cache is probed in
         # parallel (multi-way predictions, Section V.A / V.C).
-        cache_probes = probe_l2 + probe_l3 + (Level.L1 in levels)
+        cache_probes = probe_l2 + probe_l3 + (_L1 in levels)
         if cache_probes > 1:
             port_penalty = self._port_penalty * (cache_probes - 1)
             self.stats.parallel_cache_probes += 1
@@ -835,50 +836,67 @@ class CoreMemoryHierarchy:
         # "hierarchy"-category energy is accumulated locally and charged once
         # per path (one dict update instead of four-six).
         interconnect = self.interconnect
-        interconnect.transfers += 1
-        latency = self._ic_l1_l2
-        hierarchy_nj = self._bus_nj
-        # An MSHR entry is allocated at L2 even when it is bypassed, so the
-        # fill path can deposit the block on the way back (Section III.E).
-        l2_mshrs = self.l2.mshrs
-        l2_mshrs.allocate(block, atype)
+        latency = 0.0
+        hierarchy_nj = 0.0
+        deposit_mshrs = self._deposit_mshrs
+        private = self._private
 
-        # ---------------- L2 stage ----------------
-        if probe_l2:
-            self.l2.access_block(block, atype)
-            hierarchy_nj += self._l2_nj
-            if actual is Level.L2:
-                latency += self._l2_hit_latency + port_penalty
-                charge("hierarchy", hierarchy_nj)
-                self._train_l2_prefetcher(address, pc, is_load, hit=True)
-                l2_mshrs.release(block)
-                return latency, _PATH_L2, False
-            if not (probe_l3 or probe_mem):
-                # Sequential fallback: wait for the L2 miss before forwarding.
-                latency += self._l2_miss_detect
-        else:
-            if actual is Level.L2:
-                # Harmful misprediction: L2 held the block but was bypassed.
-                charge("hierarchy", hierarchy_nj)
-                latency += self._recover_to_l2(atype, block)
+        # ---------------- Private intermediate stage ----------------
+        if private:
+            deposit_mshrs.allocate(block, atype)
+            hop = self._ic_l1_l2
+            bus_nj = self._bus_nj
+            if probe_l2:
+                sequential = not (probe_l3 or probe_mem)
+                for index, cache, nj, hit_latency, miss_detect in private:
+                    interconnect.transfers += 1
+                    latency += hop
+                    hierarchy_nj += bus_nj
+                    cache.access_block(block, atype)
+                    hierarchy_nj += nj
+                    if index == holder:
+                        latency += hit_latency + port_penalty
+                        charge("hierarchy", hierarchy_nj)
+                        self._train_l2_prefetcher(address, pc, is_load,
+                                                  hit=True)
+                        deposit_mshrs.release(block)
+                        return latency, _LOOKED_L2, False
+                    if sequential:
+                        # Wait for this level's miss before forwarding.
+                        latency += miss_detect
+            elif actual is _L2:
+                # Harmful misprediction: a private level held the block but
+                # the whole group was bypassed.
+                interconnect.transfers += 1
+                latency += hop
+                charge("hierarchy", bus_nj)
+                latency += self._recover_to_chain(atype, block, holder)
                 latency += port_penalty
                 self._train_l2_prefetcher(address, pc, is_load, hit=True)
-                l2_mshrs.release(block)
-                return latency, _PATH_RECOVERY, True
+                deposit_mshrs.release(block)
+                return latency, _LOOKED_RECOVERY, True
+            else:
+                # Bypassed but absent: the request still traverses the
+                # private chain's bus on the way to the LLC.
+                for _ in private:
+                    interconnect.transfers += 1
+                    latency += hop
+                    hierarchy_nj += bus_nj
 
         # ---------------- LLC / directory stage ----------------
         interconnect.transfers += 1
         latency += self._ic_l2_llc
         hierarchy_nj += self._bus_nj + self._directory_nj
+        shared = self.shared
 
-        if actual is Level.L3:
-            self.shared.l3.access_block(block, atype)
+        if actual is _L3:
+            shared.l3.access_block(block, atype)
             hierarchy_nj += self._l3_nj
             llc_latency = self._l3_hit_latency
             if remote_core is not None:
                 # Data forwarded from another core's private cache.
                 llc_latency = (self._l3_tag_latency
-                               + self.interconnect.cache_to_cache_latency())
+                               + interconnect.cache_to_cache_latency())
             if probe_mem and self._memory_speculative:
                 # A speculative DRAM access was launched and must be cancelled
                 # by the return-path address-matching logic: energy, no time.
@@ -887,15 +905,16 @@ class CoreMemoryHierarchy:
             latency += llc_latency + port_penalty
             charge("hierarchy", hierarchy_nj)
             self._train_llc_prefetcher(address, pc, is_load, hit=True)
-            l2_mshrs.release(block)
-            return latency, (_PATH_L2_L3 if probe_l2 else _PATH_L3), False
+            if deposit_mshrs is not None:
+                deposit_mshrs.release(block)
+            return latency, (_LOOKED_L2_L3 if probe_l2 else _LOOKED_L3), False
 
         # Block is in main memory.
-        self.shared.l3.access_block(block, atype)
+        shared.l3.access_block(block, atype)
         hierarchy_nj += self._l3_tag_nj
         charge("hierarchy", hierarchy_nj)
         self._train_llc_prefetcher(address, pc, is_load, hit=False)
-        dram_latency = self.shared.dram.access(address)
+        dram_latency = shared.dram.access(address)
         charge("dram", self._dram_nj)
         interconnect.transfers += 1
         hop_to_memory = self._ic_llc_mem
@@ -910,11 +929,15 @@ class CoreMemoryHierarchy:
         else:
             latency += self._l3_tag_latency + hop_to_memory + dram_latency
         latency += port_penalty
-        l2_mshrs.release(block)
-        return latency, (_PATH_L2_L3_MEM if probe_l2 else _PATH_L3_MEM), False
+        if deposit_mshrs is not None:
+            deposit_mshrs.release(block)
+        return latency, (_LOOKED_L2_L3_MEM if probe_l2 else _LOOKED_L3_MEM), \
+            False
 
-    def _recover_to_l2(self, atype: AccessType, block: int) -> float:
-        """Misprediction recovery: directory re-issues the request to L2."""
+    def _recover_to_chain(self, atype: AccessType, block: int,
+                          holder: int) -> float:
+        """Misprediction recovery: the directory re-issues the request to
+        the private level that holds the block."""
         charge = self.energy.charge
         latency = self.interconnect.l2_to_llc_latency()
         charge("hierarchy", self._bus_nj)
@@ -923,243 +946,24 @@ class CoreMemoryHierarchy:
         charge("hierarchy", self._l3_tag_nj)
         charge("hierarchy", self._directory_nj)
         self.shared.directory.detect_bypass_misprediction(block, self.core_id)
-        # Recovery transaction back to L2, then the L2 access itself.
+        # Recovery transaction back to the holder, then its access.
         latency += self.interconnect.recovery_latency()
         self.energy.charge_recovery(self._bus_nj + self._directory_nj)
-        self.l2.access_block(block, atype)
-        charge("hierarchy", self._l2_nj)
-        latency += self._l2_hit_latency
-        # Deallocate MSHR entries allocated past the actual level.
-        self.shared.l3.mshrs.force_release(block)
-        return latency
-
-    def _timed_path_chain(
-        self,
-        prediction: Prediction,
-        actual: Level,
-        address: int,
-        pc: int,
-        atype: AccessType,
-        remote_core: Optional[int],
-        block: int,
-        holder: Optional[int],
-    ) -> Tuple[float, Tuple[Level, ...], bool]:
-        """:meth:`_timed_path` generalised to an arbitrary private chain.
-
-        A ``Level.L2`` prediction probes the whole private intermediate
-        group in order; the private-only sequential fallback serialises
-        each level's miss detection before forwarding.  Hop latencies:
-        ``l1_to_l2`` per hop between private levels, ``l2_to_llc`` into
-        the shared LLC (a 2-level hierarchy pays only the LLC hop).  The
-        MSHR entry for the return path is allocated at the deepest
-        private intermediate — the fill deposit point — even when the
-        group is bypassed.
-        """
-        levels = prediction.levels or _BYPASSED_L2
-        probe_l2 = Level.L2 in levels
-        probe_l3 = Level.L3 in levels
-        probe_mem = Level.MEM in levels
-        charge = self.energy.charge
-        is_load = atype is _LOAD
-        intermediates = self._intermediates
-
-        cache_probes = probe_l2 + probe_l3 + (Level.L1 in levels)
-        if cache_probes > 1:
-            port_penalty = self._port_penalty * (cache_probes - 1)
-            self.stats.parallel_cache_probes += 1
-        else:
-            port_penalty = 0.0
-
-        interconnect = self.interconnect
-        latency = 0.0
-        hierarchy_nj = 0.0
-        deposit_mshrs = intermediates[-1].mshrs if intermediates else None
-        if deposit_mshrs is not None:
-            deposit_mshrs.allocate(block, atype)
-        if intermediates:
-            interconnect.transfers += 1
-            latency += self._ic_l1_l2
-            hierarchy_nj += self._bus_nj
-
-        # ---------------- Private intermediate stage ----------------
-        if intermediates:
-            if probe_l2:
-                sequential = not (probe_l3 or probe_mem)
-                for index, cache in enumerate(intermediates):
-                    if index:
-                        interconnect.transfers += 1
-                        latency += self._ic_l1_l2
-                        hierarchy_nj += self._bus_nj
-                    cache.access_block(block, atype)
-                    hierarchy_nj += self._chain_nj[index]
-                    if index == holder:
-                        latency += self._chain_hit_latency[index] \
-                            + port_penalty
-                        charge("hierarchy", hierarchy_nj)
-                        self._train_l2_prefetcher(address, pc, is_load,
-                                                  hit=True)
-                        deposit_mshrs.release(block)
-                        return latency, _PATH_L2, False
-                    if sequential:
-                        latency += self._chain_miss_detect[index]
-            elif actual is Level.L2:
-                # Harmful misprediction: a private level held the block
-                # but the whole group was bypassed.
-                charge("hierarchy", hierarchy_nj)
-                latency += self._recover_to_chain(atype, block, holder)
-                latency += port_penalty
-                self._train_l2_prefetcher(address, pc, is_load, hit=True)
-                deposit_mshrs.release(block)
-                return latency, _PATH_RECOVERY, True
-            else:
-                # Bypassed but absent: the request still traverses the
-                # private chain's bus on the way to the LLC.
-                for _ in range(len(intermediates) - 1):
-                    interconnect.transfers += 1
-                    latency += self._ic_l1_l2
-                    hierarchy_nj += self._bus_nj
-
-        # ---------------- LLC / directory stage ----------------
-        interconnect.transfers += 1
-        latency += self._ic_l2_llc
-        hierarchy_nj += self._bus_nj + self._directory_nj
-
-        if actual is Level.L3:
-            self.shared.l3.access_block(block, atype)
-            hierarchy_nj += self._l3_nj
-            llc_latency = self._l3_hit_latency
-            if remote_core is not None:
-                llc_latency = (self._l3_tag_latency
-                               + self.interconnect.cache_to_cache_latency())
-            if probe_mem and self._memory_speculative:
-                charge("dram", self._dram_nj)
-                self.stats.cancelled_dram_launches += 1
-            latency += llc_latency + port_penalty
-            charge("hierarchy", hierarchy_nj)
-            self._train_llc_prefetcher(address, pc, is_load, hit=True)
-            if deposit_mshrs is not None:
-                deposit_mshrs.release(block)
-            return latency, (_PATH_L2_L3 if probe_l2 else _PATH_L3), False
-
-        # Block is in main memory.
-        self.shared.l3.access_block(block, atype)
-        hierarchy_nj += self._l3_tag_nj
-        charge("hierarchy", hierarchy_nj)
-        self._train_llc_prefetcher(address, pc, is_load, hit=False)
-        dram_latency = self.shared.dram.access(address)
-        charge("dram", self._dram_nj)
-        interconnect.transfers += 1
-        hop_to_memory = self._ic_llc_mem
-
-        if probe_mem and self._memory_speculative:
-            self.stats.speculative_dram_launches += 1
-            latency += max(self._l3_tag_latency,
-                           hop_to_memory + dram_latency)
-        else:
-            latency += self._l3_tag_latency + hop_to_memory + dram_latency
-        latency += port_penalty
-        if deposit_mshrs is not None:
-            deposit_mshrs.release(block)
-        return latency, (_PATH_L2_L3_MEM if probe_l2 else _PATH_L3_MEM), False
-
-    def _recover_to_chain(self, atype: AccessType, block: int,
-                          holder: int) -> float:
-        """:meth:`_recover_to_l2` aimed at the holding intermediate."""
-        charge = self.energy.charge
-        latency = self.interconnect.l2_to_llc_latency()
-        charge("hierarchy", self._bus_nj)
-        latency += self._l3_tag_latency
-        charge("hierarchy", self._l3_tag_nj)
-        charge("hierarchy", self._directory_nj)
-        self.shared.directory.detect_bypass_misprediction(block, self.core_id)
-        latency += self.interconnect.recovery_latency()
-        self.energy.charge_recovery(self._bus_nj + self._directory_nj)
-        cache = self._intermediates[holder]
+        _, cache, nj, hit_latency, _ = self._private[holder]
         cache.access_block(block, atype)
-        charge("hierarchy", self._chain_nj[holder])
-        latency += self._chain_hit_latency[holder]
+        charge("hierarchy", nj)
+        latency += hit_latency
+        # Deallocate MSHR entries allocated past the actual level.
         self.shared.l3.mshrs.force_release(block)
         return latency
 
     # ==================================================================
     # Data movement (fills, evictions, writebacks)
     # ==================================================================
-    def _fill_on_response(self, block: int, atype: AccessType,
-                          actual: Level) -> None:
-        """Move the block up the hierarchy after the response returns."""
-        dirty = atype is AccessType.STORE
-        state = CoherenceState.MODIFIED if dirty else CoherenceState.EXCLUSIVE
-        predictor = self.predictor
-
-        if actual is Level.MEM:
-            # Memory fills also populate the (non-inclusive) LLC.
-            l3_eviction = self.shared.l3.fill_block(block, atype,
-                                                    dirty=False, state=state)
-            if l3_eviction is not None:
-                self._handle_l3_eviction(l3_eviction)
-            predictor.on_fill(block, Level.L3)
-
-        if actual is Level.MEM or actual is Level.L3:
-            l2_eviction = self.l2.fill_block(block, atype,
-                                             dirty=dirty, state=state)
-            if l2_eviction is not None:
-                self._handle_l2_eviction(l2_eviction)
-            predictor.on_fill(block, Level.L2)
-            self.shared.directory.record_private_fill(block, self.core_id,
-                                                      dirty=dirty)
-        elif actual is Level.L2:
-            # The L1 fill from L2 is a demand fill observed on the L2 bus, so
-            # the predictor's location metadata is refreshed with the truth
-            # (this is what repairs stale LocMap entries left by unrecorded
-            # prefetch fills).
-            predictor.on_fill(block, Level.L2)
-            if dirty:
-                self.l2.mark_dirty(block)
-
-        l1_eviction = self.l1.fill_block(block, atype,
-                                         dirty=dirty, state=state)
-        if l1_eviction is not None:
-            self._handle_l1_eviction(l1_eviction)
-
-    def _handle_l1_eviction(self, eviction: Optional[EvictionInfo]) -> None:
-        if eviction is None:
-            return
-        if eviction.prefetched_unused:
-            self.l1_prefetcher.record_useless()
-        if eviction.dirty:
-            # L2 is inclusive of L1, so a dirty L1 victim merges into L2.
-            self.l2.mark_dirty(eviction.block_addr)
-
-    def _handle_l2_eviction(self, eviction: Optional[EvictionInfo]) -> None:
-        if eviction is None:
-            return
-        if eviction.prefetched_unused:
-            self.l2_prefetcher.record_useless()
-        # Inclusion: a block leaving L2 must leave L1 as well.
-        self.l1.invalidate(eviction.block_addr)
-        self.shared.directory.record_private_eviction(eviction.block_addr,
-                                                      self.core_id)
-        self.predictor.on_eviction(eviction.block_addr, Level.L2,
-                                   dirty=eviction.dirty)
-        if eviction.dirty:
-            # Dirty victims are written back into the non-inclusive LLC.
-            l3_eviction = self.shared.l3.fill_block(
-                eviction.block_addr, AccessType.WRITEBACK, dirty=True,
-                state=CoherenceState.MODIFIED)
-            self.energy.charge("hierarchy", self._l3_wb_nj)
-            self._handle_l3_eviction(l3_eviction)
-
-    def _handle_l3_eviction(self, eviction: Optional[EvictionInfo]) -> None:
-        if eviction is None:
-            return
-        self.shared.l3_eviction_to_memory(eviction, self.energy)
-        self.predictor.on_eviction(eviction.block_addr, Level.L3,
-                                   dirty=eviction.dirty)
-
     def _fill_on_response_chain(self, block: int, atype: AccessType,
                                 actual: Level,
                                 holder: Optional[int]) -> None:
-        """:meth:`_fill_on_response` generalised to the private chain.
+        """Move the block up the hierarchy after the response returns.
 
         Fills propagate deepest-first through every private intermediate
         (each is inclusive of the levels above it), then into L1.  In a
@@ -1168,52 +972,55 @@ class CoreMemoryHierarchy:
         (``Level.L2``) predictor notifications are skipped — the group is
         empty.
         """
-        dirty = atype is AccessType.STORE
-        state = CoherenceState.MODIFIED if dirty else CoherenceState.EXCLUSIVE
+        dirty = atype is _STORE
+        state = _MODIFIED if dirty else _EXCLUSIVE
         predictor = self.predictor
-        intermediates = self._intermediates
 
-        if actual is Level.MEM:
-            l3_eviction = self.shared.l3.fill_block(block, atype,
-                                                    dirty=False, state=state)
-            if l3_eviction is not None:
-                self._handle_l3_eviction(l3_eviction)
-            predictor.on_fill(block, Level.L3)
-
-        if actual is Level.MEM or actual is Level.L3:
-            if intermediates:
-                for index in range(len(intermediates) - 1, -1, -1):
-                    eviction = intermediates[index].fill_block(
-                        block, atype, dirty=dirty, state=state)
-                    if eviction is not None:
-                        self._handle_chain_eviction(eviction, index)
-                predictor.on_fill(block, Level.L2)
+        if actual is _L2:
+            # The L1 fill from a private level is a demand fill observed on
+            # its bus, so the predictor's location metadata is refreshed
+            # with the truth (this is what repairs stale LocMap entries left
+            # by unrecorded prefetch fills).
+            predictor.on_fill(block, _L2)
+            if dirty:
+                self._private[holder][1].mark_dirty(block)
+            # Inclusion upward: levels between the holder and L1 also fill.
+            for index, cache in self._fill_above[holder]:
+                eviction = cache.fill_block(block, atype, dirty=dirty,
+                                            state=state)
+                if eviction is not None:
+                    self._handle_private_eviction(eviction, index)
+        else:
+            if actual is _MEM:
+                # Memory fills also populate the (non-inclusive) LLC.
+                l3_eviction = self.shared.l3.fill_block(
+                    block, atype, dirty=False, state=state)
+                if l3_eviction is not None:
+                    self._handle_llc_eviction(l3_eviction)
+                predictor.on_fill(block, _L3)
+            fill_order = self._fill_order
+            for index, cache in fill_order:
+                eviction = cache.fill_block(block, atype, dirty=dirty,
+                                            state=state)
+                if eviction is not None:
+                    self._handle_private_eviction(eviction, index)
+            if fill_order:
+                predictor.on_fill(block, _L2)
             self.shared.directory.record_private_fill(block, self.core_id,
                                                       dirty=dirty)
-        elif actual is Level.L2:
-            predictor.on_fill(block, Level.L2)
-            if dirty:
-                intermediates[holder].mark_dirty(block)
-            # Inclusion upward: levels between the holder and L1 also fill.
-            for index in range(holder - 1, -1, -1):
-                eviction = intermediates[index].fill_block(
-                    block, atype, dirty=dirty, state=state)
-                if eviction is not None:
-                    self._handle_chain_eviction(eviction, index)
 
         l1_eviction = self.l1.fill_block(block, atype,
                                          dirty=dirty, state=state)
         if l1_eviction is not None:
-            self._handle_l1_eviction_chain(l1_eviction)
+            self._handle_l1_eviction(l1_eviction)
 
-    def _handle_l1_eviction_chain(self, eviction: EvictionInfo) -> None:
+    def _handle_l1_eviction(self, eviction: EvictionInfo) -> None:
         if eviction.prefetched_unused:
             self.l1_prefetcher.record_useless()
-        intermediates = self._intermediates
-        if intermediates:
+        if self._private:
             if eviction.dirty:
                 # The next private level is inclusive of L1: merge.
-                intermediates[0].mark_dirty(eviction.block_addr)
+                self._private[0][1].mark_dirty(eviction.block_addr)
             return
         # 2-level hierarchy: L1 is the deepest private level — the
         # directory tracked this block, and dirty victims write back
@@ -1221,39 +1028,44 @@ class CoreMemoryHierarchy:
         self.shared.directory.record_private_eviction(eviction.block_addr,
                                                       self.core_id)
         if eviction.dirty:
-            l3_eviction = self.shared.l3.fill_block(
-                eviction.block_addr, AccessType.WRITEBACK, dirty=True,
-                state=CoherenceState.MODIFIED)
-            self.energy.charge("hierarchy", self._l3_wb_nj)
-            self._handle_l3_eviction(l3_eviction)
+            self._write_back(eviction.block_addr)
 
-    def _handle_chain_eviction(self, eviction: EvictionInfo,
-                               index: int) -> None:
+    def _handle_private_eviction(self, eviction: EvictionInfo,
+                                 index: int) -> None:
         """Eviction from the private intermediate at ``index``."""
         if eviction.prefetched_unused and index == 0:
             self.l2_prefetcher.record_useless()
         block_addr = eviction.block_addr
         # Inclusion: a block leaving this level leaves every closer level.
         self.l1.invalidate(block_addr)
-        intermediates = self._intermediates
-        for closer in range(index):
-            intermediates[closer].invalidate(block_addr)
-        if index == len(intermediates) - 1:
+        for cache in self._closer[index]:
+            cache.invalidate(block_addr)
+        if index + 1 == len(self._private):
             # Leaving the deepest private level: the block leaves this
             # core's private group entirely.
             self.shared.directory.record_private_eviction(block_addr,
                                                           self.core_id)
-            self.predictor.on_eviction(block_addr, Level.L2,
+            self.predictor.on_eviction(block_addr, _L2,
                                        dirty=eviction.dirty)
             if eviction.dirty:
-                l3_eviction = self.shared.l3.fill_block(
-                    block_addr, AccessType.WRITEBACK, dirty=True,
-                    state=CoherenceState.MODIFIED)
-                self.energy.charge("hierarchy", self._l3_wb_nj)
-                self._handle_l3_eviction(l3_eviction)
+                self._write_back(block_addr)
         elif eviction.dirty:
             # Dirty victims merge into the next-deeper private level.
-            intermediates[index + 1].mark_dirty(block_addr)
+            self._private[index + 1][1].mark_dirty(block_addr)
+
+    def _write_back(self, block_addr: int) -> None:
+        """A dirty victim leaving the private group lands in the LLC."""
+        l3_eviction = self.shared.l3.fill_block(
+            block_addr, AccessType.WRITEBACK, dirty=True,
+            state=CoherenceState.MODIFIED)
+        self.energy.charge("hierarchy", self._l3_wb_nj)
+        if l3_eviction is not None:
+            self._handle_llc_eviction(l3_eviction)
+
+    def _handle_llc_eviction(self, eviction: EvictionInfo) -> None:
+        self.shared.l3_eviction_to_memory(eviction, self.energy)
+        self.predictor.on_eviction(eviction.block_addr, _L3,
+                                   dirty=eviction.dirty)
 
     # ==================================================================
     # Prefetching
@@ -1303,8 +1115,14 @@ class CoreMemoryHierarchy:
         next begins, so true MSHR occupancy is not observable; instead the
         prefetch *issue rate* over the last ``prefetch_inflight_window``
         demand accesses (tracked by the inlined window bookkeeping in
-        :meth:`access`) is bounded by the non-reserved share of the L2 MSHR
-        entries — the behaviour the reservation produces under load.
+        :meth:`access`) is bounded by the non-reserved share of the
+        deepest private level's MSHR entries — the behaviour the
+        reservation produces under load.
+
+        A private-level prefetch fills every private intermediate
+        deepest-first, so inclusion holds; an L1-targeted one also fills
+        L1.  In a 2-level hierarchy both targets collapse to an L1 install
+        (L1 is the only private level), recorded with the directory.
         """
         if (self._recent_prefetch_count + self._prefetches_this_access
                 >= self._prefetch_budget):
@@ -1315,68 +1133,35 @@ class CoreMemoryHierarchy:
             else block_address(address, self._block_size)
         self.stats.prefetches_issued += 1
         self._prefetches_this_access += 1
-        if self._general and level is not Level.L3:
-            self._issue_chain_prefetch(block, level)
-        elif level is Level.L1:
-            if self.l1.contains_block(block):
-                return
-            # L1/L2 are inclusive: the prefetched block is installed in both.
-            l2_eviction = self.l2.fill_block(block, AccessType.PREFETCH)
-            if l2_eviction is not None:
-                self._handle_l2_eviction(l2_eviction)
-            l1_eviction = self.l1.fill_block(block, AccessType.PREFETCH)
-            if l1_eviction is not None:
-                self._handle_l1_eviction(l1_eviction)
-            self.predictor.on_fill(block, Level.L2, from_prefetch=True)
-            self.shared.directory.record_private_fill(block, self.core_id)
-            self.energy.charge("hierarchy", self._l1_nj)
-        elif level is Level.L2:
-            installed, l2_eviction = self.l2.prefetch_install(block)
-            if not installed:
-                return
-            if l2_eviction is not None:
-                self._handle_l2_eviction(l2_eviction)
-            self.predictor.on_fill(block, Level.L2, from_prefetch=True)
-            self.shared.directory.record_private_fill(block, self.core_id)
-            self.energy.charge("hierarchy", self._l2_nj)
-        else:
+        if level is _L3:
             installed, l3_eviction = self.shared.l3.prefetch_install(block)
             if not installed:
                 return
             if l3_eviction is not None:
-                self._handle_l3_eviction(l3_eviction)
-            self.predictor.on_fill(block, Level.L3, from_prefetch=True)
+                self._handle_llc_eviction(l3_eviction)
+            self.predictor.on_fill(block, _L3, from_prefetch=True)
             self.energy.charge("hierarchy", self._l3_nj)
-
-    def _issue_chain_prefetch(self, block: int, level: Level) -> None:
-        """Install a private-level prefetch in a general chain.
-
-        Inclusion holds by filling every private intermediate
-        deepest-first; an L1-targeted prefetch additionally fills L1.  In
-        a 2-level hierarchy both targets collapse to an L1 install (L1 is
-        the only private level), recorded with the directory.
-        """
-        intermediates = self._intermediates
-        target_l1 = level is Level.L1 or not intermediates
+            return
+        private = self._private
+        target_l1 = level is _L1 or not private
         if target_l1:
             if self.l1.contains_block(block):
                 return
-        elif intermediates[0].contains_block(block):
+        elif private[0][1].contains_block(block):
             return
-        for index in range(len(intermediates) - 1, -1, -1):
-            eviction = intermediates[index].fill_block(
-                block, AccessType.PREFETCH)
+        for index, cache in self._fill_order:
+            eviction = cache.fill_block(block, _PREFETCH)
             if eviction is not None:
-                self._handle_chain_eviction(eviction, index)
+                self._handle_private_eviction(eviction, index)
         if target_l1:
-            l1_eviction = self.l1.fill_block(block, AccessType.PREFETCH)
+            l1_eviction = self.l1.fill_block(block, _PREFETCH)
             if l1_eviction is not None:
-                self._handle_l1_eviction_chain(l1_eviction)
-        if intermediates:
-            self.predictor.on_fill(block, Level.L2, from_prefetch=True)
+                self._handle_l1_eviction(l1_eviction)
+        if private:
+            self.predictor.on_fill(block, _L2, from_prefetch=True)
         self.shared.directory.record_private_fill(block, self.core_id)
         self.energy.charge("hierarchy",
-                           self._l1_nj if target_l1 else self._chain_nj[0])
+                           self._l1_nj if target_l1 else private[0][2])
 
     # ==================================================================
     # Reporting

@@ -18,11 +18,6 @@ attribute     environment          meaning
 ============  ==================  ==========================================
 ``kernel``    ``REPRO_KERNEL``    trace-execution kernel name (``batch``)
 ``jobs``      ``REPRO_JOBS``      worker process/thread count (1 = serial)
-``shards``    ``REPRO_SHARDS``    trace shards per job (1 = unsharded;
-                                  0 = one shard per host core)
-``sharding``  ``REPRO_SHARDING``  shard mode: ``exact`` (default,
-                                  bit-identical) or ``approx`` (concurrent
-                                  shards, bounded stats delta)
 ``pool``      ``REPRO_POOL``      daemon worker pool kind: ``process``
                                   (default) or ``thread``
 ``store``     ``REPRO_STORE``     results-store root, ``None`` = no store
@@ -53,25 +48,12 @@ from .store import REPRO_STORE_ENV, REPRO_TRACE_DIR_ENV
 #: daemon workers).  Unset or empty means 1 (deterministic serial path).
 REPRO_JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variable selecting the per-job trace shard count.  Unset
-#: or empty means 1 (unsharded); 0 means one shard per host core.
-REPRO_SHARDS_ENV = "REPRO_SHARDS"
-
-#: Environment variable selecting the sharding mode.
-REPRO_SHARDING_ENV = "REPRO_SHARDING"
-
 #: Environment variable selecting the daemon worker-pool kind.
 REPRO_POOL_ENV = "REPRO_POOL"
 
 #: Environment variable naming a declarative hierarchy spec file applied
 #: to every job (``run --hierarchy`` / ``serve --hierarchy``).
 REPRO_HIERARCHY_ENV = "REPRO_HIERARCHY"
-
-#: Sharding modes: ``exact`` keeps stored bytes bit-identical by
-#: construction (sequential hand-off through one system); ``approx`` runs
-#: shards concurrently with overlapping warm-up windows and a bounded,
-#: measured stats delta (opt-in, never the default).
-SHARDING_MODES = ("exact", "approx")
 
 #: Daemon worker-pool kinds.  ``process`` saturates a many-core host;
 #: ``thread`` keeps jobs in-process (what tests that monkeypatch
@@ -92,40 +74,6 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
         raise ValueError(
             f"{REPRO_JOBS_ENV} must be an integer, got "
             f"{env_value!r}") from exc
-
-
-def _resolve_shards(shards: Optional[int]) -> int:
-    """Explicit shard count, else ``REPRO_SHARDS``, else 1 (unsharded).
-
-    A count of 0 means "auto": one shard per host core — the knob scripts
-    set without caring how many cores the runner has.
-    """
-    if shards is None:
-        env_value = os.environ.get(REPRO_SHARDS_ENV, "").strip()
-        if not env_value:
-            return 1
-        try:
-            shards = int(env_value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{REPRO_SHARDS_ENV} must be an integer, got "
-                f"{env_value!r}") from exc
-    shards = int(shards)
-    if shards == 0:
-        return os.cpu_count() or 1
-    return max(1, shards)
-
-
-def _resolve_sharding(sharding: Optional[str]) -> str:
-    """Explicit mode, else ``REPRO_SHARDING``, else ``exact``."""
-    if sharding is None:
-        sharding = os.environ.get(REPRO_SHARDING_ENV, "").strip() or "exact"
-    sharding = str(sharding).strip().lower()
-    if sharding not in SHARDING_MODES:
-        raise ValueError(
-            f"sharding mode must be one of {', '.join(SHARDING_MODES)}, "
-            f"got {sharding!r}")
-    return sharding
 
 
 def _resolve_pool(pool: Optional[str]) -> str:
@@ -163,8 +111,6 @@ class EngineOptions:
 
     kernel: str = "batch"
     jobs: int = 1
-    shards: int = 1
-    sharding: str = "exact"
     pool: str = "process"
     store: Optional[str] = None
     trace_dir: Optional[str] = None
@@ -174,8 +120,6 @@ class EngineOptions:
     @classmethod
     def from_env(cls, kernel: Union[None, str, Kernel] = None,
                  jobs: Optional[int] = None,
-                 shards: Optional[int] = None,
-                 sharding: Optional[str] = None,
                  pool: Optional[str] = None,
                  store: Optional[str] = None,
                  trace_dir: Optional[str] = None,
@@ -187,8 +131,7 @@ class EngineOptions:
         ``store`` and ``faults`` treat an empty string like ``None``
         (disabled).  ``trace_dir`` preserves the empty string — an empty
         ``REPRO_TRACE_DIR`` explicitly disables trace spilling, while
-        ``None`` means "derive from the store location".  ``shards=0``
-        (or ``REPRO_SHARDS=0``) resolves to one shard per host core.
+        ``None`` means "derive from the store location".
         """
         if store is None:
             store = os.environ.get(REPRO_STORE_ENV, "").strip() or None
@@ -211,31 +154,19 @@ class EngineOptions:
             hierarchy = str(hierarchy)
         return cls(kernel=_resolve_kernel_name(kernel),
                    jobs=max(1, _resolve_jobs(jobs)),
-                   shards=_resolve_shards(shards),
-                   sharding=_resolve_sharding(sharding),
                    pool=_resolve_pool(pool),
                    store=store, trace_dir=trace_dir, faults=faults,
                    hierarchy=hierarchy)
 
     def with_overrides(self, kernel: Union[None, str, Kernel] = None,
                        jobs: Optional[int] = None,
-                       shards: Optional[int] = None,
-                       sharding: Optional[str] = None,
                        pool: Optional[str] = None) -> "EngineOptions":
-        """A copy with non-``None`` overrides applied (no env consulted).
-
-        ``shards=0`` resolves to one shard per host core, mirroring
-        :meth:`from_env`.
-        """
+        """A copy with non-``None`` overrides applied (no env consulted)."""
         updated = self
         if kernel is not None:
             updated = replace(updated, kernel=_resolve_kernel_name(kernel))
         if jobs is not None:
             updated = replace(updated, jobs=max(1, int(jobs)))
-        if shards is not None:
-            updated = replace(updated, shards=_resolve_shards(shards))
-        if sharding is not None:
-            updated = replace(updated, sharding=_resolve_sharding(sharding))
         if pool is not None:
             updated = replace(updated, pool=_resolve_pool(pool))
         return updated

@@ -22,7 +22,6 @@ from ..cpu.ooo_core import ExecutionResult, OutOfOrderCore
 from ..memory.block import AccessResult, MemoryAccess
 from ..memory.hierarchy import (
     CoreMemoryHierarchy,
-    HierarchyConfig,
     HierarchyStats,
     SharedMemorySystem,
 )
@@ -30,7 +29,7 @@ from ..prefetch.base import NullPrefetcher, Prefetcher
 from ..prefetch.dcpt import DCPTPrefetcher
 from ..prefetch.nextline import TaggedNextLinePrefetcher
 from ..prefetch.throttle import ThrottledPrefetcher
-from ..trace import TraceBuffer, as_trace_buffer, shard_spans
+from ..trace import TraceBuffer
 from ..workloads.base import Workload
 from .config import SystemConfig
 
@@ -153,33 +152,6 @@ class SimulatedSystem:
             results: List[AccessResult] = [self.hierarchy.access(a)
                                            for a in trace]
         execution = self.core.execute(trace, results)
-        return self._collect(workload_name, execution)
-
-    def run_trace_sharded(self, trace: Trace,
-                          workload_name: str = "trace",
-                          kernel: Optional[str] = None,
-                          shards: int = 1) -> SimulationResult:
-        """Exact sharded replay: sequential hand-off through one system.
-
-        The trace is split into at most ``shards`` contiguous column
-        slices (zero-copy views, see :func:`repro.trace.shard_spans`) and
-        replayed span by span through *this* hierarchy — each span starts
-        from the cache/predictor/prefetcher state the previous span left
-        behind, exactly like the unsharded replay.  Kernels resolve each
-        buffer independently (a span boundary simply starts a new run for
-        the batch kernel's segmenter, which takes the exact scalar path),
-        so the access results — and therefore the stored bytes — are
-        bit-identical to :meth:`run_trace` by construction.  This is the
-        default ``exact`` sharding mode: it proves the shard plumbing
-        with zero statistical drift; the concurrent speedup lives in the
-        opt-in ``approx`` mode (see :mod:`repro.sim.engine`).
-        """
-        buffer = as_trace_buffer(trace)
-        results: List[AccessResult] = []
-        for start, end in shard_spans(len(buffer), max(1, shards)):
-            results.extend(self.hierarchy.run_buffer(buffer[start:end],
-                                                     kernel=kernel))
-        execution = self.core.execute(buffer, results)
         return self._collect(workload_name, execution)
 
     def run_workload(self, workload: Workload, num_accesses: int,

@@ -237,14 +237,11 @@ class TestKernelSelection:
 class TestEngineOptions:
     def test_defaults(self, monkeypatch):
         for var in ("REPRO_KERNEL", "REPRO_JOBS", "REPRO_STORE",
-                    "REPRO_TRACE_DIR", "REPRO_FAULTS", "REPRO_SHARDS",
-                    "REPRO_SHARDING", "REPRO_POOL"):
+                    "REPRO_TRACE_DIR", "REPRO_FAULTS", "REPRO_POOL"):
             monkeypatch.delenv(var, raising=False)
         options = EngineOptions.from_env()
         assert options == EngineOptions(kernel="batch", jobs=1, store=None,
                                         trace_dir=None, faults=None)
-        assert options.shards == 1
-        assert options.sharding == "exact"
         assert options.pool == "process"
 
     def test_environment_resolution(self, monkeypatch):
@@ -279,48 +276,20 @@ class TestEngineOptions:
         assert updated.kernel == "batch" and updated.jobs == 2
         assert options.kernel == "scalar"  # frozen, copy-on-write
 
-    def test_sharding_knobs_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        monkeypatch.setenv("REPRO_SHARDING", "approx")
+    def test_pool_knob_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL", "thread")
-        options = EngineOptions.from_env()
-        assert options.shards == 4
-        assert options.sharding == "approx"
-        assert options.pool == "thread"
-
-    def test_shards_zero_means_one_per_core(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        options = EngineOptions.from_env(shards=0)
-        assert options.shards == (os.cpu_count() or 1)
-        monkeypatch.setenv("REPRO_SHARDS", "0")
-        assert EngineOptions.from_env().shards == (os.cpu_count() or 1)
+        assert EngineOptions.from_env().pool == "thread"
 
     def test_explicit_sharding_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "8")
-        monkeypatch.setenv("REPRO_SHARDING", "approx")
+        # The worker count and pool kind decide how a grid is spread over
+        # workers; explicit values win over REPRO_JOBS / REPRO_POOL.
+        monkeypatch.setenv("REPRO_JOBS", "8")
         monkeypatch.setenv("REPRO_POOL", "thread")
-        options = EngineOptions.from_env(shards=2, sharding="exact",
-                                         pool="process")
-        assert options.shards == 2
-        assert options.sharding == "exact"
+        options = EngineOptions.from_env(jobs=2, pool="process")
+        assert options.jobs == 2
         assert options.pool == "process"
 
-    def test_bad_sharding_knobs_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "several")
-        with pytest.raises(ValueError,
-                           match="REPRO_SHARDS must be an integer"):
-            EngineOptions.from_env()
-        monkeypatch.delenv("REPRO_SHARDS")
-        # Negative counts clamp to the serial path instead of raising.
-        assert EngineOptions.from_env(shards=-3).shards == 1
-        with pytest.raises(ValueError, match="sharding mode"):
-            EngineOptions.from_env(sharding="fuzzy")
-        monkeypatch.setenv("REPRO_SHARDING", "fuzzy")
-        with pytest.raises(ValueError, match="sharding mode"):
-            EngineOptions.from_env()
-        monkeypatch.delenv("REPRO_SHARDING")
+    def test_bad_pool_kind_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="pool kind"):
             EngineOptions.from_env(pool="fibers")
         monkeypatch.setenv("REPRO_POOL", "fibers")

@@ -9,8 +9,9 @@ Three properties anchor this module:
    against committed fixture strings (``tests/fixtures/job_keys.json``):
    the golden store must never move, whatever the config layer looks
    like internally.
-3. Non-paper chain depths (2 and 4 levels) run through the same scalar
-   and batch kernels and replay bit-identically, and a spec describing
+3. Every chain depth runs one miss walker: on random valid specs of 2-4
+   levels the scalar kernel, the batch kernel and record-level
+   ``access()`` produce byte-identical results, and a spec describing
    exactly the paper hierarchy is indistinguishable — results *and*
    store keys — from the legacy ``HierarchyConfig`` it replaces.
 """
@@ -19,21 +20,28 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.memory.block import AccessType, MemoryAccess
 from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.spec import (
     HierarchySpec,
+    InterconnectSpec,
     LevelSpec,
+    TLBSpec,
     derive_llc,
     load_hierarchy,
 )
 from repro.sim.config import SystemConfig, table1_description
 from repro.sim.engine import MixJob, SimulationJob, apply_hierarchy
-from repro.sim.store import job_spec, spec_key
+from repro.sim.store import job_spec, serialize_result, spec_key
 from repro.sim.system import SimulatedSystem
+from repro.trace import TraceBuffer
 from repro.workloads import build_workload
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -240,6 +248,107 @@ def _run(spec_or_config, kernel: str, accesses: int = 600):
     workload = build_workload("gapbs.pr")
     buffer = workload.generate_buffer(accesses, seed=0)
     return system.run_trace(buffer, kernel=kernel)
+
+
+@st.composite
+def hierarchy_specs(draw):
+    """Random valid specs: 2-4 levels whose capacity and hit latency grow
+    down the chain, with small caches and TLBs so that evictions,
+    recoveries and writebacks happen within a short trace."""
+    depth = draw(st.integers(2, 4))
+    geometries = [(draw(st.sampled_from((1, 2, 4, 8, 16))),
+                   draw(st.integers(1, 64))) for _ in range(depth)]
+    geometries.sort(key=lambda geometry: geometry[0] * geometry[1])
+    tags = sorted(draw(st.lists(st.integers(1, 24), min_size=depth,
+                                max_size=depth)))
+    levels = []
+    for index, ((ways, sets), tag) in enumerate(zip(geometries, tags)):
+        llc = index == depth - 1
+        sequential = llc and draw(st.booleans())
+        levels.append(LevelSpec(
+            name=f"L{index + 1}", size_bytes=64 * ways * sets,
+            associativity=ways, tag_latency=tag,
+            data_latency=draw(st.integers(0, 40)) if sequential else 0,
+            sequential_tag_data=sequential,
+            mshr_entries=draw(st.integers(2, 64)),
+            inclusive=not llc or draw(st.booleans())))
+    return HierarchySpec(
+        levels=tuple(levels),
+        tlb=TLBSpec(l1_entries=draw(st.sampled_from((4, 16, 64))),
+                    l2_entries=draw(st.sampled_from((16, 256, 1536)))),
+        interconnect=InterconnectSpec(
+            l1_to_l2=draw(st.integers(0, 4)),
+            l2_to_llc=draw(st.integers(0, 8)),
+            llc_to_memory=draw(st.integers(0, 8)),
+            recovery_transaction=draw(st.integers(0, 12))),
+        memory_speculative_launch=draw(st.booleans()),
+        parallel_port_penalty=float(draw(st.integers(0, 3))),
+        prefetch_inflight_window=draw(st.integers(1, 48)))
+
+
+@st.composite
+def block_run_traces(draw):
+    """Seeded random traces of same-block runs over a block footprint.
+
+    Suite workloads rarely touch one line twice in a row, so these runs
+    are what drive the batch kernel's bulk path; the footprint spans a
+    few blocks (all hits) up to 2 MB (LLC and DRAM traffic).
+    """
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    footprint = draw(st.sampled_from((1, 8, 64, 512, 4096, 32768)))
+    max_run = draw(st.integers(1, 12))
+    store_percent = draw(st.integers(0, 50))
+    length = draw(st.integers(50, 500))
+    records = []
+    while len(records) < length:
+        block = 0x100000 + 64 * rng.randrange(footprint)
+        for _ in range(rng.randint(1, max_run)):
+            store = rng.randrange(100) < store_percent
+            records.append(MemoryAccess(
+                address=block + rng.randrange(64),
+                access_type=AccessType.STORE if store else AccessType.LOAD,
+                pc=0x400000 + 4 * rng.randrange(16),
+                depends_on_previous=rng.random() < 0.2,
+                non_memory_instructions=rng.randrange(4)))
+    return TraceBuffer.from_accesses(records[:length])
+
+
+def suite_traces():
+    """Seeded traces of the registered workloads."""
+    return st.builds(
+        lambda app, accesses, seed:
+            build_workload(app).generate_buffer(accesses, seed=seed),
+        st.sampled_from(("gapbs.pr", "gapbs.bfs", "605.mcf", "stream",
+                         "gups", "602.gcc")),
+        st.integers(50, 500), st.integers(0, 1 << 16))
+
+
+class TestOneWalker:
+    """Every depth runs one miss walker, so the three ways of driving it —
+    scalar kernel, batch kernel and record-level ``access()`` — must
+    agree byte for byte on any valid hierarchy."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=hierarchy_specs(),
+           trace=st.one_of(block_run_traces(), suite_traces()),
+           predictor=st.sampled_from(("baseline", "tage-2kb", "d2d",
+                                      "lp", "ideal")),
+           prefetch_scheme=st.sampled_from(("paper", "none")))
+    def test_scalar_batch_and_records_byte_identical(
+            self, spec, trace, predictor, prefetch_scheme):
+        config = SystemConfig(name="walker-test", hierarchy=spec,
+                              predictor=predictor,
+                              prefetch_scheme=prefetch_scheme)
+        outputs = [
+            json.dumps(serialize_result(
+                SimulatedSystem(config).run_trace(replayed, "trace",
+                                                  kernel=kernel)),
+                sort_keys=True)
+            for replayed, kernel in ((trace, "scalar"), (trace, "batch"),
+                                     (trace.to_accesses(), None))]
+        scalar, batch, records = outputs
+        assert batch == scalar
+        assert records == scalar
 
 
 class TestChainExecution:

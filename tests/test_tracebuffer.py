@@ -21,10 +21,7 @@ from repro.sim.system import SimulatedSystem
 from repro.trace import (
     KIND_CODES,
     TraceBuffer,
-    TraceShard,
     as_trace_buffer,
-    plan_shards,
-    shard_spans,
 )
 from repro.workloads import (
     APPLICATIONS,
@@ -145,103 +142,6 @@ class TestBufferSemantics:
         clone = pickle.loads(pickle.dumps(buffer))
         assert clone == buffer
         assert clone._derived == {}
-
-
-class TestShardPlanning:
-    """Shard-boundary slicing: spans, overlap windows, view semantics."""
-
-    def test_spans_cover_exactly_and_stay_balanced(self):
-        for length in (1, 2, 7, 100, 101, 4096):
-            for shards in (1, 2, 3, 8):
-                spans = shard_spans(length, shards)
-                assert spans[0][0] == 0
-                assert spans[-1][1] == length
-                # Contiguous, non-empty, sizes differ by at most one.
-                for (_, end), (start, _) in zip(spans, spans[1:]):
-                    assert end == start
-                sizes = [end - start for start, end in spans]
-                assert all(size > 0 for size in sizes)
-                assert max(sizes) - min(sizes) <= 1
-
-    def test_spans_on_short_traces_never_go_empty(self):
-        # Fewer rows than shards: one single-row span per row, no empties.
-        assert shard_spans(3, 8) == [(0, 1), (1, 2), (2, 3)]
-        assert shard_spans(1, 4) == [(0, 1)]
-        assert shard_spans(0, 4) == []
-
-    def test_spans_reject_non_positive_shard_counts(self):
-        with pytest.raises(ValueError):
-            shard_spans(100, 0)
-        with pytest.raises(ValueError):
-            shard_spans(100, -1)
-
-    def test_plan_warmup_semantics(self):
-        plan = plan_shards(1000, 4, warmup_accesses=100, overlap=64)
-        assert len(plan) == 4
-        # Shard 0 warms up on the job's own prefix; later shards on a
-        # bounded overlap window immediately before their span.
-        assert plan[0].start == 100 and plan[0].warmup == 100
-        for shard in plan[1:]:
-            assert shard.warmup == 64
-        assert plan[-1].end == 1000
-        # Measured spans partition [warmup, length) exactly.
-        for left, right in zip(plan, plan[1:]):
-            assert left.end == right.start
-
-    def test_plan_overlap_clamps_to_available_prefix(self):
-        plan = plan_shards(40, 4, warmup_accesses=0, overlap=1 << 20)
-        assert plan[0].warmup == 0
-        for shard in plan[1:]:
-            assert shard.warmup == shard.start  # clamped, never past row 0
-
-    def test_plan_degenerate_inputs(self):
-        # Warm-up swallowing the whole trace leaves nothing to measure.
-        assert plan_shards(100, 4, warmup_accesses=100) == []
-        assert plan_shards(100, 4, warmup_accesses=200) == []
-        # More shards than measured rows: one shard per row.
-        short = plan_shards(13, 8, warmup_accesses=10, overlap=2)
-        assert len(short) == 3
-        assert [(s.start, s.end) for s in short] == \
-            [(10, 11), (11, 12), (12, 13)]
-        with pytest.raises(ValueError):
-            plan_shards(100, 4, warmup_accesses=-1)
-        with pytest.raises(ValueError):
-            plan_shards(100, 4, overlap=-1)
-
-    def test_shard_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TraceShard(index=-1, start=0, end=10, warmup=0)
-        with pytest.raises(ValueError):
-            TraceShard(index=0, start=10, end=10, warmup=0)  # empty span
-        with pytest.raises(ValueError):
-            TraceShard(index=1, start=5, end=10, warmup=6)  # before row 0
-
-    def test_shard_views_are_views_not_copies(self):
-        buffer = build_workload("gapbs.pr").generate_buffer(600, seed=3)
-        for shard in plan_shards(len(buffer), 4, warmup_accesses=120,
-                                 overlap=32):
-            warm, measured = buffer.shard_views(shard)
-            assert len(warm) == shard.warmup
-            assert len(measured) == shard.end - shard.start
-            assert np.shares_memory(measured.address, buffer.address)
-            if len(warm):
-                assert np.shares_memory(warm.address, buffer.address)
-            assert measured.address.tolist() == \
-                buffer.address.tolist()[shard.start:shard.end]
-
-    def test_shard_views_concatenation_recovers_measured_region(self):
-        buffer = build_workload("stream").generate_buffer(257, seed=1)
-        rows = []
-        for shard in plan_shards(len(buffer), 8, warmup_accesses=7):
-            _, measured = buffer.shard_views(shard)
-            rows.extend(measured.address.tolist())
-        assert rows == buffer.address.tolist()[7:]
-
-    def test_shard_views_reject_out_of_range_spans(self):
-        buffer = build_workload("gups").generate_buffer(50, seed=0)
-        with pytest.raises(ValueError):
-            buffer.shard_views(TraceShard(index=0, start=0, end=51,
-                                          warmup=0))
 
 
 class TestPersistence:
