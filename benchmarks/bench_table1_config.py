@@ -22,21 +22,21 @@ def test_table1_system_configuration(benchmark):
     save_result("table1_config", table)
 
     config = SystemConfig.paper_single_core()
-    hierarchy = config.hierarchy
+    l1, l2, l3 = config.hierarchy.levels
     # Cache geometry and latencies of Table I.
-    assert hierarchy.l1.size_bytes == 32 * 1024
-    assert hierarchy.l1.associativity == 4
-    assert hierarchy.l1.tag_latency == 4
-    assert hierarchy.l2.size_bytes == 256 * 1024
-    assert hierarchy.l2.associativity == 8
-    assert hierarchy.l3.size_bytes == 2 * 1024 * 1024
-    assert hierarchy.l3.associativity == 16
-    assert hierarchy.l3.sequential_tag_data
-    assert hierarchy.l3.tag_latency + hierarchy.l3.data_latency == 55
+    assert l1.size_bytes == 32 * 1024
+    assert l1.associativity == 4
+    assert l1.tag_latency == 4
+    assert l2.size_bytes == 256 * 1024
+    assert l2.associativity == 8
+    assert l3.size_bytes == 2 * 1024 * 1024
+    assert l3.associativity == 16
+    assert l3.sequential_tag_data
+    assert l3.tag_latency + l3.data_latency == 55
     # Core parameters.
     assert config.core.rob_entries == 192
     assert config.core.fetch_width == 4
     assert config.core.frequency_ghz == 4.0
     # Multi-core variant uses the 8 MB shared LLC.
     multi = SystemConfig.paper_multi_core()
-    assert multi.hierarchy.l3.size_bytes == 8 * 1024 * 1024
+    assert multi.hierarchy.llc.size_bytes == 8 * 1024 * 1024

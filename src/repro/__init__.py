@@ -48,7 +48,7 @@ from .core import (
 )
 from .memory import (
     CoreMemoryHierarchy,
-    HierarchyConfig,
+    HierarchySpec,
     Level,
     MemoryAccess,
     SharedMemorySystem,
@@ -77,7 +77,7 @@ __all__ = [
     "FaultRule",
     "FaultSpecError",
     "HIGHLIGHTED_APPLICATIONS",
-    "HierarchyConfig",
+    "HierarchySpec",
     "Level",
     "LevelPredictor",
     "LevelPredictorConfig",

@@ -16,7 +16,6 @@ from .directory import Directory, DirectoryEntry
 from .dram import DRAMConfig, DRAMModel
 from .hierarchy import (
     CoreMemoryHierarchy,
-    HierarchyConfig,
     HierarchyStats,
     SharedMemorySystem,
 )
@@ -29,6 +28,7 @@ from .replacement import (
     TreePLRUPolicy,
     make_replacement_policy,
 )
+from .spec import HierarchySpec
 from .tlb import TLB, TLBConfig, TLBHierarchy
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "DRAMConfig",
     "DRAMModel",
     "EvictionInfo",
-    "HierarchyConfig",
+    "HierarchySpec",
     "HierarchyStats",
     "Interconnect",
     "InterconnectConfig",

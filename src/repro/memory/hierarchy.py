@@ -6,10 +6,10 @@ L3 with a collocated directory, a DDR4 channel, per-level prefetchers with
 throttling, TLBs — plus the *level-predicted* lookup path that the paper adds
 on the L1 miss path.
 
-The hierarchy is no longer fixed to that triple: construct a
-:class:`CoreMemoryHierarchy` from a declarative
-:class:`~repro.memory.spec.HierarchySpec` and any chain of two or more
-cache levels runs through the same scalar and batch kernels.  The level
+The hierarchy is not fixed to that triple: a :class:`CoreMemoryHierarchy`
+is built from a declarative :class:`~repro.memory.spec.HierarchySpec`
+(the paper's by default), and any chain of two or more cache levels runs
+through the same scalar and batch kernels.  The level
 predictor's target space stays the paper's — the whole private
 intermediate group is classified as ``Level.L2`` and the shared LLC as
 ``Level.L3`` — so predictors, statistics and stored results keep their
@@ -46,7 +46,7 @@ For a block found at level ``A`` with prediction set ``P``:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -63,12 +63,11 @@ from .block import (
     MemoryAccess,
     block_address,
 )
-from .cache import Cache, CacheConfig, EvictionInfo
+from .cache import Cache, EvictionInfo
 from .directory import Directory
-from .dram import DRAMConfig, DRAMModel
-from .interconnect import Interconnect, InterconnectConfig
+from .dram import DRAMModel
+from .interconnect import Interconnect
 from .spec import HierarchySpec
-from .tlb import TLBHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..core.base import LevelPredictor, Prediction
@@ -122,64 +121,6 @@ def _bind_core_types() -> None:
         for level in (Level.L2, Level.L3, Level.MEM):
             _IDEAL_PREDICTIONS[level] = Prediction(levels=(level,),
                                                    source="ideal")
-
-
-@dataclass
-class HierarchyConfig:
-    """Configuration of the full hierarchy (Table I defaults).
-
-    Attributes:
-        l1 / l2 / l3: Per-level cache geometries and latencies.
-        dram: DRAM channel configuration.
-        interconnect: Hop latencies between levels.
-        memory_speculative_launch: When True, a prediction that includes MEM
-            launches the DRAM access in parallel with the LLC tag/directory
-            check (the paper's design); when False the directory check is
-            serialised before memory (conservative ablation).
-        parallel_port_penalty: Extra cycles charged when a multi-way
-            prediction probes more than one on-chip cache in parallel,
-            modelling tag-port pressure (the nas.is effect in Section V.C).
-        prefetch_inflight_window: Number of recent demand accesses used to
-            approximate MSHR occupancy for prefetch throttling.
-        ideal_miss_latency: The paper's "Ideal" system: every L1 miss gets a
-            perfect, zero-cost level prediction, so no cycle is ever spent on
-            a lookup that does not hold the block (Section IV.C).  Data
-            movement, energy and statistics behave exactly like the baseline.
-    """
-
-    l1: CacheConfig = field(default_factory=lambda: CacheConfig(
-        level=Level.L1, size_bytes=32 * 1024, associativity=4,
-        tag_latency=4, data_latency=0, sequential_tag_data=False,
-        mshr_entries=16, mshr_demand_reserve=0.25))
-    l2: CacheConfig = field(default_factory=lambda: CacheConfig(
-        level=Level.L2, size_bytes=256 * 1024, associativity=8,
-        tag_latency=12, data_latency=0, sequential_tag_data=False,
-        mshr_entries=32, mshr_demand_reserve=0.25))
-    l3: CacheConfig = field(default_factory=lambda: CacheConfig(
-        level=Level.L3, size_bytes=2 * 1024 * 1024, associativity=16,
-        tag_latency=20, data_latency=35, sequential_tag_data=True,
-        mshr_entries=64, mshr_demand_reserve=0.25))
-    dram: DRAMConfig = field(default_factory=DRAMConfig)
-    interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
-    memory_speculative_launch: bool = True
-    parallel_port_penalty: float = 2.0
-    prefetch_inflight_window: int = 32
-    ideal_miss_latency: bool = False
-
-    @staticmethod
-    def paper_single_core() -> "HierarchyConfig":
-        """The single-core configuration of Table I (2 MB LLC)."""
-        return HierarchyConfig()
-
-    @staticmethod
-    def paper_multi_core() -> "HierarchyConfig":
-        """The quad-core configuration of Table I (8 MB shared LLC)."""
-        config = HierarchyConfig()
-        config.l3 = CacheConfig(
-            level=Level.L3, size_bytes=8 * 1024 * 1024, associativity=16,
-            tag_latency=20, data_latency=35, sequential_tag_data=True,
-            mshr_entries=64, mshr_demand_reserve=0.25)
-        return config
 
 
 @dataclass(slots=True)
@@ -237,20 +178,14 @@ class SharedMemorySystem:
     """Resources shared by every core: the LLC, directory, DRAM and the
     LLC prefetcher."""
 
-    def __init__(self, config, num_cores: int = 1,
+    def __init__(self, config: HierarchySpec, num_cores: int = 1,
                  llc_prefetcher: Optional[Prefetcher] = None,
                  energy_params: Optional[EnergyParameters] = None) -> None:
         self.config = config
         self.num_cores = num_cores
-        if isinstance(config, HierarchySpec):
-            self.spec: Optional[HierarchySpec] = config
-            self.l3 = Cache(config.llc.cache_config(Level.L3),
-                            name=config.llc.name)
-            self.dram = DRAMModel(config.memory.dram_config())
-        else:
-            self.spec = None
-            self.l3 = Cache(config.l3, name="L3")
-            self.dram = DRAMModel(config.dram)
+        self.l3 = Cache(config.llc.cache_config(Level.L3),
+                        name=config.llc.name)
+        self.dram = DRAMModel(config.memory.dram_config())
         self.directory = Directory(num_cores=num_cores)
         self.llc_prefetcher = llc_prefetcher or NullPrefetcher()
         self.energy_params = energy_params or EnergyParameters()
@@ -271,9 +206,9 @@ class CoreMemoryHierarchy:
     """The per-core view of the memory system (private levels + shared LLC).
 
     Args:
-        config: Hierarchy configuration — a legacy 3-level
-            :class:`HierarchyConfig` or a declarative
-            :class:`~repro.memory.spec.HierarchySpec` of any depth ≥ 2.
+        config: The declarative
+            :class:`~repro.memory.spec.HierarchySpec` (any depth ≥ 2);
+            defaults to the paper's single-core Table I hierarchy.
         shared: The shared LLC/directory/DRAM; construct one
             :class:`SharedMemorySystem` (from the same config) and pass it
             to every core.
@@ -287,7 +222,7 @@ class CoreMemoryHierarchy:
     """
 
     __slots__ = (
-        "config", "spec", "shared", "predictor", "l1", "l2", "tlb",
+        "config", "shared", "predictor", "l1", "l2", "tlb",
         "l1_prefetcher", "l2_prefetcher", "interconnect", "energy", "stats",
         "core_id", "_block_size", "_block_mask", "_page_shift",
         "_l1_page_size",
@@ -307,7 +242,7 @@ class CoreMemoryHierarchy:
 
     def __init__(
         self,
-        config=None,
+        config: Optional[HierarchySpec] = None,
         shared: Optional[SharedMemorySystem] = None,
         predictor: Optional[LevelPredictor] = None,
         l1_prefetcher: Optional[Prefetcher] = None,
@@ -320,25 +255,15 @@ class CoreMemoryHierarchy:
         from ..core.base import SequentialPredictor
 
         _bind_core_types()
-        self.config = config or HierarchyConfig.paper_single_core()
-        cfg = self.config
-        spec = cfg if isinstance(cfg, HierarchySpec) else None
-        self.spec = spec
-        self.shared = shared or SharedMemorySystem(cfg, num_cores=1)
+        self.config = spec = config or HierarchySpec.paper_single_core()
+        self.shared = shared or SharedMemorySystem(spec, num_cores=1)
         self.predictor = predictor or SequentialPredictor()
-        if spec is None:
-            level_names = ("L1", "L2", "L3")
-            l1_cfg = cfg.l1
-            inter_cfgs: Tuple[CacheConfig, ...] = (cfg.l2,)
-            llc_cfg = cfg.l3
-            self.tlb = TLBHierarchy()
-        else:
-            level_names = tuple(level.name for level in spec.levels)
-            l1_cfg = spec.l1.cache_config(Level.L1)
-            inter_cfgs = tuple(level.cache_config(Level.L2)
-                               for level in spec.intermediates)
-            llc_cfg = spec.llc.cache_config(Level.L3)
-            self.tlb = spec.tlb.build()
+        level_names = tuple(level.name for level in spec.levels)
+        l1_cfg = spec.l1.cache_config(Level.L1)
+        inter_cfgs = tuple(level.cache_config(Level.L2)
+                           for level in spec.intermediates)
+        llc_cfg = spec.llc.cache_config(Level.L3)
+        self.tlb = spec.tlb.build()
         self.l1 = Cache(l1_cfg, name=f"{level_names[0]}.{core_id}")
         self._intermediates = tuple(
             Cache(inter_cfg, name=f"{level_names[1 + index]}.{core_id}")
@@ -348,10 +273,9 @@ class CoreMemoryHierarchy:
         self.l2 = self._intermediates[0] if self._intermediates else None
         self.l1_prefetcher = l1_prefetcher or NullPrefetcher()
         self.l2_prefetcher = l2_prefetcher or NullPrefetcher()
-        ic_config = cfg.interconnect if spec is None \
-            else spec.interconnect.interconnect_config()
-        self.interconnect = Interconnect(ic_config,
-                                         active_cores=active_cores)
+        self.interconnect = Interconnect(
+            spec.interconnect.interconnect_config(),
+            active_cores=active_cores)
         self.energy = EnergyAccount(params=self.shared.energy_params)
         self.stats = HierarchyStats()
         self.core_id = core_id
@@ -369,9 +293,9 @@ class CoreMemoryHierarchy:
         self._l1_miss_detect = float(l1_cfg.miss_detect_latency)
         self._l3_hit_latency = float(llc_cfg.hit_latency)
         self._l3_tag_latency = float(llc_cfg.tag_latency)
-        self._port_penalty = cfg.parallel_port_penalty
-        self._memory_speculative = cfg.memory_speculative_launch
-        self._ideal_miss_latency = cfg.ideal_miss_latency
+        self._port_penalty = spec.parallel_port_penalty
+        self._memory_speculative = spec.memory_speculative_launch
+        self._ideal_miss_latency = spec.ideal_miss_latency
         # Interconnect hop latencies are constant per instance (contention
         # depends only on active_cores); precompute them and bump the
         # transfer counters inline instead of calling per hop.
@@ -387,16 +311,13 @@ class CoreMemoryHierarchy:
         # for the full per-access energy of that level (for the LLC it also
         # stands in for the tag-only probe — a documented simplification);
         # write_energy_nj prices the dirty-writeback deposit into the LLC.
-        l1_read = spec.l1.read_energy_nj if spec is not None else None
+        l1_read = spec.l1.read_energy_nj
         self._l1_nj = params.l1_access_nj if l1_read is None else l1_read
         self._tlb_l1_nj = params.tlb_access_nj + self._l1_nj
-        if spec is None:
-            chain_nj: Tuple[float, ...] = (params.l2_access_nj,)
-        else:
-            chain_nj = tuple(
-                params.l2_access_nj if level.read_energy_nj is None
-                else level.read_energy_nj
-                for level in spec.intermediates)
+        chain_nj = tuple(
+            params.l2_access_nj if level.read_energy_nj is None
+            else level.read_energy_nj
+            for level in spec.intermediates)
         # The private chain as walk tables, built once so the miss path
         # does no per-miss index arithmetic.  ``_private`` is closest-first
         # (index, cache, energy, hit latency, miss detection) per level;
@@ -419,7 +340,7 @@ class CoreMemoryHierarchy:
         # The return path's MSHR entry lives at the deepest private
         # intermediate, the fill deposit point (None in a 2-level chain).
         self._deposit_mshrs = caches[-1].mshrs if caches else None
-        llc_read = spec.llc.read_energy_nj if spec is not None else None
+        llc_read = spec.llc.read_energy_nj
         if llc_read is None:
             self._l3_nj = params.llc_tag_access_nj \
                 + params.llc_data_access_nj
@@ -427,7 +348,7 @@ class CoreMemoryHierarchy:
         else:
             self._l3_nj = llc_read
             self._l3_tag_nj = llc_read
-        llc_write = spec.llc.write_energy_nj if spec is not None else None
+        llc_write = spec.llc.write_energy_nj
         self._l3_wb_nj = self._l3_nj if llc_write is None else llc_write
         self._dram_nj = params.dram_access_nj
         self._bus_nj = params.bus_transfer_nj
@@ -444,12 +365,12 @@ class CoreMemoryHierarchy:
         # observation; no prefetcher retains the record past _generate().
         self._pf_access = PrefetchAccess(0, 0, False, True)
         self._inflight_misses: Deque[bool] = deque(
-            maxlen=self.config.prefetch_inflight_window)
+            maxlen=spec.prefetch_inflight_window)
         self._inflight_miss_count = 0
         # Prefetches issued per recent demand access (same sliding window),
         # used to bound the prefetch issue rate to the non-reserved MSHR share.
         self._recent_prefetches: Deque[int] = deque(
-            maxlen=self.config.prefetch_inflight_window)
+            maxlen=spec.prefetch_inflight_window)
         self._recent_prefetch_count = 0
         self._prefetches_this_access = 0
 

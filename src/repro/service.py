@@ -107,6 +107,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import socket
 import socketserver
 import sys
@@ -305,6 +306,34 @@ def scale_from_wire(data: Optional[Dict[str, Any]]) -> Scale:
             mix_accesses=int(data.get("mix_accesses", Scale.mix_accesses)))
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"malformed scale: {exc}") from None
+
+
+# ======================================================================
+# Process-pool workers
+# ======================================================================
+#: How often a process-pool worker checks that its daemon is still alive.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _pool_worker_init(daemon_pid: int) -> None:
+    """Initializer of every process-pool worker: die with the daemon.
+
+    A forked worker inherits the daemon's SIGTERM/SIGINT handlers, which
+    only ask the daemon's server to shut down; reset them so a signal
+    ends the worker.  A daemon killed with SIGKILL never shuts its pool
+    down, so a watcher thread also exits the worker as soon as it is
+    reparented (``os.getppid()`` no longer names the daemon).
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+    def watch_parent() -> None:
+        while os.getppid() == daemon_pid:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch_parent, name="repro-parent-watch",
+                     daemon=True).start()
 
 
 # ======================================================================
@@ -535,7 +564,9 @@ class SimulationService:
         first grid.
         """
         if self.pool_kind == "process":
-            pool = ProcessPoolExecutor(max_workers=self.num_workers)
+            pool = ProcessPoolExecutor(max_workers=self.num_workers,
+                                       initializer=_pool_worker_init,
+                                       initargs=(os.getpid(),))
             try:
                 pool.submit(os.getpid).result()
                 return pool
@@ -1953,7 +1984,6 @@ def main_serve(store: Union[str, Path], port: Optional[int] = None,
     the daemon landed), installs SIGTERM/SIGINT handlers for graceful
     shutdown, and serves until stopped.
     """
-    import signal
 
     if faults is not None:
         from . import faults as faults_module

@@ -140,14 +140,10 @@ def _canonical(value: Any) -> Any:
         }
     canonical_hook = getattr(value, "__canonical__", None)
     if canonical_hook is not None:
-        # Objects may supply their own canonical form — e.g. a
-        # HierarchySpec that is an exact image of the legacy config
-        # canonicalises *as* that config, keeping job keys stable across
-        # the representation change.  Returning NotImplemented falls
-        # through to the generic rules below.
-        result = canonical_hook(_canonical)
-        if result is not NotImplemented:
-            return result
+        # Objects may supply their own canonical form — a HierarchySpec
+        # of the paper's Table I shape emits the form the paper systems'
+        # job keys have always hashed (and caches it on the instance).
+        return canonical_hook(_canonical)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__dataclass__": type(value).__name__,

@@ -204,7 +204,7 @@ class SimulatedSystem:
 
 
 def _with_ideal_latency(hierarchy):
-    """Flip ideal_miss_latency on a HierarchyConfig or HierarchySpec."""
+    """A copy of a hierarchy spec with ideal_miss_latency set."""
     from dataclasses import replace
     return replace(hierarchy, ideal_miss_latency=True)
 

@@ -402,11 +402,3 @@ class TraceBuffer:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"TraceBuffer(len={len(self)}, "
                 f"nbytes={self.nbytes})")
-
-
-def as_trace_buffer(trace: Union[TraceBuffer, Sequence[MemoryAccess]]
-                    ) -> TraceBuffer:
-    """Coerce a legacy access list to a buffer (no-op for buffers)."""
-    if isinstance(trace, TraceBuffer):
-        return trace
-    return TraceBuffer.from_accesses(trace)

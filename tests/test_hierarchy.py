@@ -2,24 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.base import SequentialPredictor
 from repro.core.d2d import DirectToDataPredictor
 from repro.core.level_predictor import CacheLevelPredictor
 from repro.memory.block import AccessType, Level, MemoryAccess
-from repro.memory.hierarchy import (
-    CoreMemoryHierarchy,
-    HierarchyConfig,
-    SharedMemorySystem,
-)
+from repro.memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
+from repro.memory.spec import HierarchySpec
 from repro.prefetch.nextline import TaggedNextLinePrefetcher
 
 from trace_helpers import make_load, make_store
 
 
 def build_hierarchy(config=None, predictor=None, **kwargs) -> CoreMemoryHierarchy:
-    config = config or HierarchyConfig.paper_single_core()
+    config = config or HierarchySpec.paper_single_core()
     shared = SharedMemorySystem(config, num_cores=1)
     return CoreMemoryHierarchy(config=config, shared=shared,
                                predictor=predictor, **kwargs)
@@ -42,8 +41,7 @@ class TestBaselineLatencies:
         assert result.latency == pytest.approx(hierarchy.config.l1.hit_latency)
 
     def test_l2_hit_after_l1_eviction(self):
-        config = HierarchyConfig.paper_single_core()
-        hierarchy = build_hierarchy(config)
+        hierarchy = build_hierarchy()
         hierarchy.access(make_load(0x10000))
         # Evict 0x10000 from the (4 KiB-per-set... ) L1 by filling its set.
         # L1 is 32 KiB 4-way: addresses 8 KiB apart share a set.
@@ -95,10 +93,10 @@ class TestDataMovement:
         assert hierarchy.shared.directory.is_cached_privately(0x9000 & ~63)
 
     def test_dirty_l3_eviction_writes_back_to_dram(self):
-        config = HierarchyConfig.paper_single_core()
+        config = HierarchySpec.paper_single_core()
         hierarchy = build_hierarchy(config)
         # Write far more dirty blocks than the LLC can hold.
-        blocks = (config.l3.size_bytes // 64) + 4096
+        blocks = (config.llc.size_bytes // 64) + 4096
         for i in range(blocks):
             hierarchy.access(make_store(i * 64))
         assert hierarchy.shared.dram.stats.writes > 0
@@ -178,9 +176,8 @@ class TestLevelPredictedPath:
         assert hierarchy.stats.predictions > 0
 
     def test_ideal_configuration_never_slower_than_baseline(self):
-        config = HierarchyConfig.paper_single_core()
-        ideal_config = HierarchyConfig.paper_single_core()
-        ideal_config.ideal_miss_latency = True
+        config = HierarchySpec.paper_single_core()
+        ideal_config = dataclasses.replace(config, ideal_miss_latency=True)
         baseline = build_hierarchy(config)
         ideal = build_hierarchy(ideal_config)
         total_base = total_ideal = 0.0

@@ -728,9 +728,13 @@ class TestDaemonRestart:
                     break
                 assert time.time() < deadline, "grid never started"
                 time.sleep(0.02)
+            children = client.stats()["pool"]["children"]
         finally:
             daemon.kill()
             daemon.wait(timeout=30.0)
+        # SIGKILL gives the daemon no chance to shut its pool down: the
+        # workers must notice the lost parent and exit on their own.
+        _assert_pids_exit(children)
 
         survivors = len(ResultStore(store))
         assert survivors >= 1  # the kill landed after at least one put
@@ -791,15 +795,28 @@ class TestDaemonRestart:
 # ======================================================================
 # Process-pool workers (the daemon default)
 # ======================================================================
+def _pid_exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie.  An orphan's exit status is
+    collected by whichever process adopted it, which may never reap."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
+    return state == "Z"
+
+
 def _assert_pids_exit(pids, timeout: float = 15.0) -> None:
-    """Every pid must disappear (or be reaped) within the deadline."""
+    """Every pid must exit within the deadline."""
     deadline = time.time() + timeout
     for pid in pids:
-        while True:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                break
+        while not _pid_exited(pid):
             assert time.time() < deadline, \
                 f"pool child {pid} survived shutdown"
             time.sleep(0.05)

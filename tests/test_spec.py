@@ -9,11 +9,11 @@ Three properties anchor this module:
    against committed fixture strings (``tests/fixtures/job_keys.json``):
    the golden store must never move, whatever the config layer looks
    like internally.
+   On random valid specs every single-field change moves the key, and
+   a key never depends on which equal spec was hashed first.
 3. Every chain depth runs one miss walker: on random valid specs of 2-4
    levels the scalar kernel, the batch kernel and record-level
-   ``access()`` produce byte-identical results, and a spec describing
-   exactly the paper hierarchy is indistinguishable — results *and*
-   store keys — from the legacy ``HierarchyConfig`` it replaces.
+   ``access()`` produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.block import AccessType, MemoryAccess
-from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.spec import (
     HierarchySpec,
     InterconnectSpec,
@@ -161,15 +160,6 @@ class TestRoundTrip:
         spec = load_hierarchy(path)
         assert spec.to_json() == text
 
-    def test_legacy_round_trip(self):
-        legacy = HierarchyConfig.paper_single_core()
-        spec = HierarchySpec.from_legacy(legacy)
-        assert spec.is_legacy_exact()
-        back = spec.to_legacy()
-        assert back.l1 == legacy.l1
-        assert back.l2 == legacy.l2
-        assert back.l3 == legacy.l3
-
     def test_derive_llc_replaces_fields(self):
         spec = HierarchySpec.paper_single_core()
         derived = derive_llc(spec, tag_latency=20, data_latency=20)
@@ -217,18 +207,21 @@ class TestKeyStability:
         assert json.dumps(spec, sort_keys=True) == pinned["canonical"]
         assert spec_key(spec) == pinned["key"]
 
-    def test_paper_spec_config_key_matches_legacy(self):
-        """A legacy-exact spec canonicalizes to the legacy key."""
-        legacy_job = SimulationJob(workload="gapbs.pr", predictor="lp",
-                                   num_accesses=400, warmup_accesses=120,
-                                   seed=0,
-                                   config=SystemConfig.paper_single_core())
-        spec_config = dataclasses.replace(
-            SystemConfig.paper_single_core(),
-            hierarchy=HierarchySpec.paper_single_core())
-        spec_job = dataclasses.replace(legacy_job, config=spec_config)
-        assert spec_key(job_spec(spec_job)) \
-            == spec_key(job_spec(legacy_job))
+    def test_loaded_paper_spec_emits_pinned_key(self, fixture_data):
+        """A paper spec that is not the shared constant (parsed from the
+        committed example file) still emits the pinned Table I form."""
+        loaded = load_hierarchy(EXAMPLES / "paper.json")
+        assert loaded == HierarchySpec.paper_single_core()
+        assert loaded is not HierarchySpec.paper_single_core()
+        config = dataclasses.replace(SystemConfig.paper_single_core(),
+                                     hierarchy=loaded)
+        job = SimulationJob(workload="gapbs.pr", predictor="lp",
+                            num_accesses=400, warmup_accesses=120, seed=0,
+                            config=config)
+        spec = job_spec(job)
+        pinned = fixture_data["single/lp"]
+        assert json.dumps(spec, sort_keys=True) == pinned["canonical"]
+        assert spec_key(spec) == pinned["key"]
 
     def test_customized_spec_gets_distinct_key(self):
         base = SimulationJob(workload="gapbs.pr", predictor="lp",
@@ -241,8 +234,8 @@ class TestKeyStability:
 # ======================================================================
 # N-level execution
 # ======================================================================
-def _run(spec_or_config, kernel: str, accesses: int = 600):
-    config = SystemConfig(name="chain-test", hierarchy=spec_or_config,
+def _run(spec, kernel: str, accesses: int = 600):
+    config = SystemConfig(name="chain-test", hierarchy=spec,
                           predictor="lp")
     system = SimulatedSystem(config)
     workload = build_workload("gapbs.pr")
@@ -251,11 +244,11 @@ def _run(spec_or_config, kernel: str, accesses: int = 600):
 
 
 @st.composite
-def hierarchy_specs(draw):
+def hierarchy_specs(draw, depths=st.integers(2, 4)):
     """Random valid specs: 2-4 levels whose capacity and hit latency grow
     down the chain, with small caches and TLBs so that evictions,
     recoveries and writebacks happen within a short trace."""
-    depth = draw(st.integers(2, 4))
+    depth = draw(depths)
     geometries = [(draw(st.sampled_from((1, 2, 4, 8, 16))),
                    draw(st.integers(1, 64))) for _ in range(depth)]
     geometries.sort(key=lambda geometry: geometry[0] * geometry[1])
@@ -351,6 +344,169 @@ class TestOneWalker:
         assert records == scalar
 
 
+# ======================================================================
+# Key properties over generated specs
+# ======================================================================
+@st.composite
+def keyed_specs(draw):
+    """:func:`hierarchy_specs`, half of them rewritten into the paper's
+    Table I shape (3 levels, a non-inclusive LLC, the default TLB) so
+    the pinned canonical form is exercised as often as the generic one."""
+    if draw(st.booleans()):
+        return draw(hierarchy_specs())
+    spec = draw(hierarchy_specs(depths=st.just(3)))
+    llc = dataclasses.replace(spec.llc, inclusive=False)
+    return dataclasses.replace(spec, tlb=TLBSpec(),
+                               levels=spec.levels[:-1] + (llc,))
+
+
+def _key(spec: HierarchySpec) -> str:
+    job = SimulationJob(workload="gapbs.pr", predictor="lp",
+                        num_accesses=400, warmup_accesses=120, seed=0,
+                        config=SystemConfig(name="key-test",
+                                            hierarchy=spec))
+    return spec_key(job_spec(job))
+
+
+def _fresh(spec: HierarchySpec) -> HierarchySpec:
+    """An equal spec instance that has never been hashed."""
+    return dataclasses.replace(spec)
+
+
+def _other_values(value):
+    """Candidate replacements for one field value (validity unchecked)."""
+    if isinstance(value, bool):
+        candidates = [not value]
+    elif value is None:
+        candidates = [1.0]
+    elif isinstance(value, str):
+        candidates = [value + "x"]
+    elif isinstance(value, int):
+        candidates = [value * 2, value + 1, value // 2, value - 1]
+    else:
+        candidates = [value * 2 + 0.5, value / 2]
+    return [candidate for candidate in candidates if candidate != value]
+
+
+def _single_field_variants(spec: HierarchySpec):
+    """``(path, spec)`` for every field that has a valid replacement
+    value, each variant differing from ``spec`` in that field alone."""
+    def first_valid(build, value):
+        for candidate in _other_values(value):
+            try:
+                return build(candidate)
+            except ValueError:
+                continue
+        return None
+
+    variants = []
+    for top in dataclasses.fields(HierarchySpec):
+        value = getattr(spec, top.name)
+        if top.name == "levels":
+            for index, level in enumerate(value):
+                for inner in dataclasses.fields(LevelSpec):
+                    def build(candidate, index=index, name=inner.name):
+                        levels = list(spec.levels)
+                        levels[index] = dataclasses.replace(
+                            levels[index], **{name: candidate})
+                        return dataclasses.replace(spec,
+                                                   levels=tuple(levels))
+                    variant = first_valid(build,
+                                          getattr(level, inner.name))
+                    if variant is not None:
+                        variants.append(
+                            (f"levels[{index}].{inner.name}", variant))
+        elif dataclasses.is_dataclass(value):
+            for inner in dataclasses.fields(value):
+                def build(candidate, section=top.name, name=inner.name):
+                    return dataclasses.replace(spec, **{
+                        section: dataclasses.replace(
+                            getattr(spec, section), **{name: candidate})})
+                variant = first_valid(build, getattr(value, inner.name))
+                if variant is not None:
+                    variants.append((f"{top.name}.{inner.name}", variant))
+        else:
+            def build(candidate, name=top.name):
+                return dataclasses.replace(spec, **{name: candidate})
+            variant = first_valid(build, value)
+            if variant is not None:
+                variants.append((top.name, variant))
+    return variants
+
+
+#: Integer-valued fields that every canonical form carries, so writing
+#: them as a float must change the key.
+_NUMERIC_PATHS = (("llc", "tag_latency"), ("l1", "tag_latency"),
+                  ("llc", "mshr_entries"), ("memory", "cas_latency"),
+                  ("interconnect", "l2_to_llc"),
+                  (None, "prefetch_inflight_window"))
+
+
+def _as_float(spec: HierarchySpec, path) -> HierarchySpec:
+    """``spec`` with one integer field rewritten as the equal float."""
+    section, name = path
+    if section is None:
+        return dataclasses.replace(
+            spec, **{name: float(getattr(spec, name))})
+    if section in ("l1", "llc"):
+        index = 0 if section == "l1" else spec.depth - 1
+        levels = list(spec.levels)
+        levels[index] = dataclasses.replace(
+            levels[index], **{name: float(getattr(levels[index], name))})
+        return dataclasses.replace(spec, levels=tuple(levels))
+    part = getattr(spec, section)
+    return dataclasses.replace(spec, **{section: dataclasses.replace(
+        part, **{name: float(getattr(part, name))})})
+
+
+class TestKeyProperties:
+    """The Table I projection loses no field, and a spec's key is a
+    function of that spec alone — not of what the process hashed
+    before it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=keyed_specs())
+    def test_every_single_field_change_moves_the_key(self, spec):
+        base = _key(spec)
+        variants = _single_field_variants(spec)
+        for path, variant in variants:
+            assert _key(variant) != base, path
+        # Every field outside the levels, and every LLC field but the
+        # geometry (block size is chain-wide; the ways must divide the
+        # capacity), has a valid replacement to test.
+        changed = {path for path, _ in variants}
+        llc = f"levels[{spec.depth - 1}]"
+        expected = {f"{llc}.{f.name}" for f in dataclasses.fields(LevelSpec)
+                    if f.name not in ("block_size", "associativity")}
+        for top in dataclasses.fields(HierarchySpec):
+            section = getattr(spec, top.name)
+            if top.name == "levels":
+                continue
+            if dataclasses.is_dataclass(section):
+                expected |= {f"{top.name}.{f.name}"
+                             for f in dataclasses.fields(section)}
+            else:
+                expected.add(top.name)
+        assert expected <= changed
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=keyed_specs(), path=st.sampled_from(_NUMERIC_PATHS),
+           float_first=st.booleans())
+    def test_equal_specs_key_independently_of_hash_order(
+            self, spec, path, float_first):
+        as_int = spec
+        as_float = _as_float(spec, path)
+        assert as_float == as_int and hash(as_float) == hash(as_int)
+        alone_int = _key(_fresh(as_int))
+        alone_float = _key(_fresh(as_float))
+        assert alone_int != alone_float
+        pair = [_fresh(as_int), _fresh(as_float)]
+        order = (1, 0) if float_first else (0, 1)
+        keys = {index: _key(pair[index]) for index in order}
+        assert keys[0] == alone_int
+        assert keys[1] == alone_float
+
+
 class TestChainExecution:
     @pytest.mark.parametrize("depth", [2, 4])
     def test_scalar_batch_bit_identical(self, depth):
@@ -361,13 +517,6 @@ class TestChainExecution:
         assert scalar.energy_breakdown == batch.energy_breakdown
         assert scalar.ipc == batch.ipc
         assert scalar.predictor_stats == batch.predictor_stats
-
-    def test_paper_spec_matches_legacy_bit_for_bit(self):
-        legacy = _run(HierarchyConfig.paper_single_core(), "batch")
-        spec = _run(HierarchySpec.paper_single_core(), "batch")
-        assert spec.hierarchy_stats == legacy.hierarchy_stats
-        assert spec.energy_breakdown == legacy.energy_breakdown
-        assert spec.ipc == legacy.ipc
 
     @pytest.mark.parametrize("depth,predictor", [(2, "baseline"),
                                                  (2, "ideal"),

@@ -18,11 +18,7 @@ from repro.sim.engine import TraceCache
 from repro.sim.multicore import MultiCoreSystem
 from repro.sim.store import trace_key, try_trace_key
 from repro.sim.system import SimulatedSystem
-from repro.trace import (
-    KIND_CODES,
-    TraceBuffer,
-    as_trace_buffer,
-)
+from repro.trace import KIND_CODES, TraceBuffer
 from repro.workloads import (
     APPLICATIONS,
     MIXES,
@@ -108,8 +104,6 @@ class TestBufferSemantics:
         records = buffer.to_accesses()
         assert all(isinstance(r, MemoryAccess) for r in records)
         assert TraceBuffer.from_accesses(records) == buffer
-        assert as_trace_buffer(records) == buffer
-        assert as_trace_buffer(buffer) is buffer
 
     def test_indexing_rebuilds_records(self):
         workload = build_workload("gups")
